@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 from . import posets
 from .trees import (
+    MAPS,
     BiLeveledTree,
+    _standardize,
     beta_fibers,
     bileveled_of_perm,
     enumerate_family,
@@ -22,13 +24,13 @@ from .trees import (
     graft_onto_bileveled,
     graft_onto_tree,
     is_coinvariant_shape,
-    parse_perm,
+    parse_key,
     parse_tree,
     render,
+    render_key,
     render_perm,
     right_cuts,
     splittings,
-    strip_circles,
     tree_of_perm,
 )
 
@@ -44,17 +46,10 @@ def _require(condition: bool, message: str) -> None:
 
 
 def key_degree(family: str, key: str) -> int:
-    if family == "S":
-        return len(parse_perm(key))
-    if family == "Y":
-        return parse_tree(key).size
-    if family == "M":
-        if key == UNIT_KEY["M"]:
-            return 0
-        obj = parse_tree(key)
-        _require(isinstance(obj, BiLeveledTree), f"{key!r} has no circled nodes")
-        return obj.size
-    raise ValueError(f"unknown family {family!r}")
+    if family == "M" and key == UNIT_KEY["M"]:
+        return 0
+    obj = parse_key(family, key)
+    return len(obj) if family == "S" else obj.size
 
 
 @dataclass(frozen=True)
@@ -117,9 +112,9 @@ def product_fund(family: str, x: str, y: str) -> LinearCombo:
     """Product of two fundamental basis elements of the word or tree family."""
     _require(family in ("S", "Y"),
              "the circled family multiplies through product_msym")
+    u, v = parse_key(family, x), parse_key(family, y)
     terms: dict[str, int] = {}
     if family == "S":
-        u, v = parse_perm(x), parse_perm(y)
         q = len(u)
         shifted = tuple(a + q for a in v)
         for sp in splittings(tree_of_perm(u), len(v)):
@@ -132,9 +127,8 @@ def product_fund(family: str, x: str, y: str) -> LinearCombo:
             key = render_perm(tuple(word))
             terms[key] = terms.get(key, 0) + 1
     else:
-        t, s = parse_tree(x), parse_tree(y)
-        for sp in splittings(t, s.size):
-            key = render(graft(sp, s))
+        for sp in splittings(u, v.size):
+            key = render(graft(sp, v))
             terms[key] = terms.get(key, 0) + 1
     return LinearCombo(family, "F", terms)
 
@@ -142,23 +136,18 @@ def product_fund(family: str, x: str, y: str) -> LinearCombo:
 def coproduct_fund(family: str, x: str) -> TensorCombo:
     """Coproduct of a fundamental basis element: the sum over single cuts."""
     _require(family in ("S", "Y"), "only the word and tree families have coproducts")
+    obj = parse_key(family, x)
     terms: dict[tuple[str, str], int] = {}
     if family == "S":
-        w = parse_perm(x)
-        for k in range(len(w) + 1):
-            pair = (render_perm(_standard(w[:k])), render_perm(_standard(w[k:])))
+        for k in range(len(obj) + 1):
+            pair = (render_perm(_standardize(obj[:k])),
+                    render_perm(_standardize(obj[k:])))
             terms[pair] = terms.get(pair, 0) + 1
     else:
-        t = parse_tree(x)
-        for sp in splittings(t, 1):
+        for sp in splittings(obj, 1):
             pair = (render(sp.pieces[0]), render(sp.pieces[1]))
             terms[pair] = terms.get(pair, 0) + 1
     return TensorCombo(family, family, "F", "F", terms)
-
-
-def _standard(values: tuple[int, ...]) -> tuple[int, ...]:
-    order = sorted(values)
-    return tuple(order.index(a) + 1 for a in values)
 
 
 def product_msym(x: str, y: str) -> LinearCombo:
@@ -170,9 +159,7 @@ def product_msym(x: str, y: str) -> LinearCombo:
         return LinearCombo("M", "F", {y: 1})
     if y == UNIT_KEY["M"]:
         return LinearCombo("M", "F", {x: 1})
-    b, s = parse_tree(x), parse_tree(y)
-    _require(isinstance(b, BiLeveledTree) and isinstance(s, BiLeveledTree),
-             "product_msym needs circled keys")
+    b, s = parse_key("M", x), parse_key("M", y)
     terms: dict[str, int] = {}
     for sp in splittings(b, s.size):
         key = render(graft_onto_bileveled(sp, s))
@@ -183,17 +170,14 @@ def product_msym(x: str, y: str) -> LinearCombo:
 def action_ssym(w: str, s: str) -> LinearCombo:
     """Left action of a word on a circled key; depends on the word only
     through its bi-leveled image."""
-    word = parse_perm(w)
+    word = parse_key("S", w)
     _require(bool(word), "the empty word acts as the unit; pass keys of size >= 1")
     return product_msym(render(bileveled_of_perm(word)), s)
 
 
 def action_ysym(b: str, s: str) -> LinearCombo:
     """Right action of a tree on a circled key via restricted splittings."""
-    obj = parse_tree(b)
-    _require(isinstance(obj, BiLeveledTree), "the acted-on key must be circled")
-    base = parse_tree(s)
-    _require(not isinstance(base, BiLeveledTree), "the acting key must be a plain tree")
+    obj, base = parse_key("M", b), parse_key("Y", s)
     terms: dict[str, int] = {}
     for sp in splittings(obj, base.size, restricted=True):
         key = render(graft_onto_tree(sp, base))
@@ -204,8 +188,7 @@ def action_ysym(b: str, s: str) -> LinearCombo:
 def coaction(b: str) -> TensorCombo:
     """Coaction of the tree family on a circled key: restricted single cuts,
     circles dropped on the right factor."""
-    obj = parse_tree(b)
-    _require(isinstance(obj, BiLeveledTree), "the coaction applies to circled keys")
+    obj = parse_key("M", b)
     terms: dict[tuple[str, str], int] = {}
     for sp in splittings(obj, 1, restricted=True):
         left = BiLeveledTree(sp.pieces[0], sp.piece_circles()[0])
@@ -277,25 +260,18 @@ def _side_conversion(family, key, basis_in, basis_out):
 # induced linear maps
 
 
-_MAP_FAMILIES = {"tau": ("S", "Y"), "beta": ("S", "M"), "phi": ("M", "Y")}
-
-
 def apply_linear_map(name: str, x: LinearCombo) -> LinearCombo:
     """Apply one of the induced maps key-wise on the fundamental basis."""
-    _require(name in _MAP_FAMILIES, f"unknown map {name!r}")
-    source, target = _MAP_FAMILIES[name]
+    _require(name in ("tau", "beta", "phi"), f"unknown map {name!r}")
+    source, target, func = MAPS[name]
     _require(x.family == source, f"map {name} starts from family {source}")
     _require(x.basis == "F", "induced maps act on the fundamental basis")
     out: dict[str, int] = {}
     for key, c in x.terms.items():
         if _is_unit(source, key):
             image = UNIT_KEY[target]
-        elif name == "tau":
-            image = render(tree_of_perm(parse_perm(key)))
-        elif name == "beta":
-            image = render(bileveled_of_perm(parse_perm(key)))
         else:
-            image = render(strip_circles(parse_tree(key)))
+            image = render_key(target, func(parse_key(source, key)))
         out[image] = out.get(image, 0) + c
     return LinearCombo(target, "F", out)
 
@@ -306,8 +282,7 @@ def apply_linear_map(name: str, x: LinearCombo) -> LinearCombo:
 
 def coaction_monomial(b: str) -> TensorCombo:
     """Closed form of the coaction in the monomial bases: one term per right cut."""
-    obj = parse_tree(b)
-    _require(isinstance(obj, BiLeveledTree), "the coaction applies to circled keys")
+    obj = parse_key("M", b)
     terms: dict[tuple[str, str], int] = {}
     for left, right in right_cuts(obj):
         pair = (render(left), render(right))

@@ -12,22 +12,7 @@ import json
 import sys
 
 from . import algebra, posets, series, trees, verify
-from .trees import BiLeveledTree, ParseError, ValidityError
-
-
-def _parse_family_key(family: str, key: str):
-    if family == "S":
-        return trees.parse_perm(key)
-    obj = trees.parse_tree(key)
-    if family == "Y":
-        if isinstance(obj, BiLeveledTree):
-            raise ValidityError(f"{key!r} has circled nodes; expected a plain tree")
-        return obj
-    if family == "M":
-        if not isinstance(obj, BiLeveledTree):
-            raise ValidityError(f"{key!r} has no circled nodes; expected a circled key")
-        return obj
-    raise ValueError(f"unknown family {family!r}")
+from .trees import ParseError, ValidityError
 
 
 def _emit_key(family: str, key: str, as_json: bool) -> None:
@@ -59,58 +44,23 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-_MAP_SPECS = {
-    # op: (input kind, output kind)
-    "tau": ("S", "Y"),
-    "beta": ("S", "M"),
-    "phi": ("M", "Y"),
-    "min": ("Y", "S"),
-    "max": ("Y", "S"),
-    "mm": ("M", "S"),
-    "Mm": ("M", "S"),
-    "gammaL": ("Y", "Y"),
-    "gammaR": ("Y", "Y"),
-    "qsym": ("M", "Q"),
-}
-
-_MAP_FUNCS = {
-    "tau": trees.tree_of_perm,
-    "beta": trees.bileveled_of_perm,
-    "phi": trees.strip_circles,
-    "min": trees.min_word,
-    "max": trees.max_word,
-    "mm": trees.fiber_min_word,
-    "Mm": trees.section_word,
-    "gammaL": trees.to_left_comb,
-    "gammaR": trees.to_right_comb,
-    "qsym": trees.qsym_composition,
-}
-
-
 def _cmd_map(args) -> int:
-    source, target = _MAP_SPECS[args.op]
-    value = _parse_family_key(source, args.input)
-    result = _MAP_FUNCS[args.op](value)
-    if target == "S":
-        key = trees.render_perm(result)
-    elif target == "Q":
-        key = trees.render_composition(result)
-    else:
-        key = trees.render(result)
-    _emit_key(target, key, args.json)
+    source, target, func = trees.MAPS[args.op]
+    result = func(trees.parse_key(source, args.input))
+    _emit_key(target, trees.render_key(target, result), args.json)
     return 0
 
 
 def _cmd_fiber(args) -> int:
     if args.map == "tau":
-        t = _parse_family_key("Y", args.input)
+        t = trees.parse_key("Y", args.input)
         if t.size == 0:
             raise ValidityError("fibers need at least one node")
         words = sorted(trees.render_perm(w) for w in trees.fiber_of_tree(t))
         lo = trees.render_perm(trees.min_word(t))
         hi = trees.render_perm(trees.max_word(t))
     else:
-        b = _parse_family_key("M", args.input)
+        b = trees.parse_key("M", args.input)
         lo, hi = posets.fiber_interval(b.size, b)
         words = list(trees.beta_fibers(b.size)[trees.render(b)])
     if args.json:
@@ -238,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("map", help="apply one of the structural maps to a key")
-    p.add_argument("--op", required=True, choices=sorted(_MAP_SPECS))
+    p.add_argument("--op", required=True, choices=sorted(trees.MAPS))
     p.add_argument("--input", required=True)
     add_json(p)
     p.set_defaults(func=_cmd_map)

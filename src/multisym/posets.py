@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .trees import (
     BiLeveledTree,
@@ -120,6 +121,26 @@ class FinitePoset:
             raise IncomparableError(f"{x!r} is not below {y!r}")
         return self._members(self._up[self.index[x]] & self._down[self.index[y]])
 
+    def interval_ends(self, members) -> tuple[str, str] | None:
+        """``(least, greatest)`` if ``members`` is exactly the interval between
+        them, else None (also when ``members`` is empty)."""
+        mask = 0
+        for x in members:
+            mask |= 1 << self.index[x]
+        lo = hi = None
+        rest = mask
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            if mask & ~self._up[i] == 0:
+                lo = i
+            if mask & ~self._down[i] == 0:
+                hi = i
+            rest ^= low
+        if lo is None or hi is None or self._up[lo] & self._down[hi] != mask:
+            return None
+        return self.elements[lo], self.elements[hi]
+
     def mobius(self, x: str, y: str) -> int:
         i, j = self.index[x], self.index[y]
         if not self._down[j] >> i & 1:
@@ -190,30 +211,25 @@ class FinitePoset:
 
 
 # ---------------------------------------------------------------------------
-# the three concrete orders
-
-_WEAK: dict[int, FinitePoset] = {}
-_TAMARI: dict[int, FinitePoset] = {}
-_BILEVELED: dict[int, FinitePoset] = {}
+# the three concrete orders, one poset per size
 
 
+@lru_cache(maxsize=None)
 def weak_order(n: int) -> FinitePoset:
     """Left weak order on S_n: covers swap the values k, k+1 when k sits left of k+1."""
     if n < 1:
         raise ValueError("weak order needs n >= 1")
-    if n not in _WEAK:
-        elements = enumerate_family("S", n)
-        covers = set()
-        for key in elements:
-            word = parse_perm(key)
-            pos = {a: i for i, a in enumerate(word)}
-            for k in range(1, n):
-                if pos[k] < pos[k + 1]:
-                    swapped = tuple(k + 1 if a == k else k if a == k + 1 else a
-                                    for a in word)
-                    covers.add((key, render_perm(swapped)))
-        _WEAK[n] = FinitePoset(elements, covers)
-    return _WEAK[n]
+    elements = enumerate_family("S", n)
+    covers = set()
+    for key in elements:
+        word = parse_perm(key)
+        pos = {a: i for i, a in enumerate(word)}
+        for k in range(1, n):
+            if pos[k] < pos[k + 1]:
+                swapped = tuple(k + 1 if a == k else k if a == k + 1 else a
+                                for a in word)
+                covers.add((key, render_perm(swapped)))
+    return FinitePoset(elements, covers)
 
 
 def _rotations(t):
@@ -228,50 +244,48 @@ def _rotations(t):
         yield PlanarTree(t.left, sub)
 
 
+@lru_cache(maxsize=None)
 def tamari(n: int) -> FinitePoset:
     """Rotation order on Y_n; the left comb is minimal, the right comb maximal."""
     if n < 1:
         raise ValueError("rotation order needs n >= 1")
-    if n not in _TAMARI:
-        covers = set()
-        for t in all_trees(n):
-            for rotated in _rotations(t):
-                covers.add((render(t), render(rotated)))
-        _TAMARI[n] = FinitePoset(enumerate_family("Y", n), covers)
-    return _TAMARI[n]
+    covers = set()
+    for t in all_trees(n):
+        for rotated in _rotations(t):
+            covers.add((render(t), render(rotated)))
+    return FinitePoset(enumerate_family("Y", n), covers)
 
 
+@lru_cache(maxsize=None)
 def bileveled_order(n: int) -> FinitePoset:
     """Weak order on M_n: compare underlying shapes in the rotation order and
     circled sets by reverse inclusion.  Covers come from transitive reduction."""
     if n < 1:
         raise ValueError("bi-leveled order needs n >= 1")
-    if n not in _BILEVELED:
-        objs = all_bileveled(n)
-        keys = [render(b) for b in objs]  # sorted, matching FinitePoset order
-        shapes = [render(strip_circles(b)) for b in objs]
-        tam = tamari(n)
-        m = len(objs)
-        down = [0] * m
-        up = [0] * m
-        for i in range(m):
-            for j in range(m):
-                if (objs[j].circled <= objs[i].circled
-                        and tam.leq(shapes[i], shapes[j])):
-                    down[j] |= 1 << i
-                    up[i] |= 1 << j
-        covers = set()
-        for i in range(m):
-            for j in range(m):
-                if i != j and down[j] >> i & 1:
-                    between = down[j] & up[i] & ~(1 << i) & ~(1 << j)
-                    if between == 0:
-                        covers.add((keys[i], keys[j]))
-        built = FinitePoset(keys, covers)
-        if built._down != down:
-            raise CertificationError("cover reduction changed the order")
-        _BILEVELED[n] = built
-    return _BILEVELED[n]
+    objs = all_bileveled(n)
+    keys = [render(b) for b in objs]  # sorted, matching FinitePoset order
+    shapes = [render(strip_circles(b)) for b in objs]
+    tam = tamari(n)
+    m = len(objs)
+    down = [0] * m
+    up = [0] * m
+    for i in range(m):
+        for j in range(m):
+            if (objs[j].circled <= objs[i].circled
+                    and tam.leq(shapes[i], shapes[j])):
+                down[j] |= 1 << i
+                up[i] |= 1 << j
+    covers = set()
+    for i in range(m):
+        for j in range(m):
+            if i != j and down[j] >> i & 1:
+                between = down[j] & up[i] & ~(1 << i) & ~(1 << j)
+                if between == 0:
+                    covers.add((keys[i], keys[j]))
+    built = FinitePoset(keys, covers)
+    if built._down != down:
+        raise CertificationError("cover reduction changed the order")
+    return built
 
 
 def poset_for(family: str, n: int) -> FinitePoset:
@@ -291,25 +305,20 @@ def poset_for(family: str, n: int) -> FinitePoset:
 def fiber_interval(n: int, b: BiLeveledTree | str) -> tuple[str, str]:
     """Least and greatest fiber words of ``b``, certified against the poset.
 
-    The upper endpoint is found as the unique fiber maximum; the lower one
-    must match the closed-form minimal word.  Any mismatch, or a fiber that
-    is not an interval, raises ``CertificationError``.
+    The fiber must be an interval of the weak order, and its least word must
+    match the closed-form minimal word; otherwise ``CertificationError``.
     """
     key = b if isinstance(b, str) else render(b)
     obj = parse_tree(key)
     fiber = beta_fibers(n).get(key)
     if fiber is None:
         raise ValueError(f"{key!r} is not a bi-leveled key of size {n}")
-    poset = weak_order(n)
-    lo = [w for w in fiber if all(poset.leq(w, v) for v in fiber)]
-    hi = [w for w in fiber if all(poset.leq(v, w) for v in fiber)]
-    if len(lo) != 1 or len(hi) != 1:
-        raise CertificationError(f"fiber of {key!r} has no unique extremes")
-    if lo[0] != render_perm(fiber_min_word(obj)):
-        raise CertificationError(f"closed-form minimum disagrees on {key!r}")
-    if poset.interval(lo[0], hi[0]) != sorted(fiber):
+    ends = weak_order(n).interval_ends(fiber)
+    if ends is None:
         raise CertificationError(f"fiber of {key!r} is not an interval")
-    return lo[0], hi[0]
+    if ends[0] != render_perm(fiber_min_word(obj)):
+        raise CertificationError(f"closed-form minimum disagrees on {key!r}")
+    return ends
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +345,14 @@ class PosetMapPair:
         for x, y in self.backward.items():
             if y not in self.source:
                 raise ValueError(f"backward image {y!r} of {x!r} not in source")
+
+
+def _fibers(mapping: dict[str, str], codomain) -> dict[str, list[str]]:
+    """The preimages under a total map of every element of ``codomain``."""
+    fibers: dict[str, list[str]] = {t: [] for t in codomain}
+    for v, t in mapping.items():
+        fibers[t].append(v)
+    return fibers
 
 
 def _order_preserving(poset_in, poset_out, mapping) -> str | None:
@@ -386,12 +403,8 @@ def check_galois(pair: PosetMapPair) -> GaloisReport:
     mobius_bad = None
     checked = adjunction is None and fwd_bad is None and bwd_bad is None
     if checked:
-        fwd_fiber: dict[str, list[str]] = {t: [] for t in Q.elements}
-        for v, t in pair.forward.items():
-            fwd_fiber[t].append(v)
-        bwd_fiber: dict[str, list[str]] = {v: [] for v in P.elements}
-        for t, v in pair.backward.items():
-            bwd_fiber[v].append(t)
+        fwd_fiber = _fibers(pair.forward, Q.elements)
+        bwd_fiber = _fibers(pair.backward, P.elements)
         for v in P.elements:
             for t in Q.elements:
                 lhs = sum(P.mobius(v, w) for w in fwd_fiber[t] if P.leq(v, w))
@@ -437,18 +450,13 @@ def check_interval_retract(pair: PosetMapPair) -> RetractReport:
         if pair.forward[pair.backward[t]] != t:
             section = f"fwd(back({t})) = {pair.forward[pair.backward[t]]}"
             break
-    fibers: dict[str, list[str]] = {t: [] for t in Q.elements}
-    for v, t in pair.forward.items():
-        fibers[t].append(v)
+    fibers = _fibers(pair.forward, Q.elements)
     fiber_bad = None
     for t in Q.elements:
-        fiber = sorted(fibers[t])
-        if not fiber:
+        if not fibers[t]:
             fiber_bad = f"empty fiber over {t}"
             break
-        lo = [w for w in fiber if all(P.leq(w, v) for v in fiber)]
-        hi = [w for w in fiber if all(P.leq(v, w) for v in fiber)]
-        if len(lo) != 1 or len(hi) != 1 or P.interval(lo[0], hi[0]) != fiber:
+        if P.interval_ends(fibers[t]) is None:
             fiber_bad = f"fiber over {t} is not an interval"
             break
     mobius_bad = None

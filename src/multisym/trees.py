@@ -243,6 +243,33 @@ def parse_composition(text: str) -> tuple[int, ...]:
     return parts
 
 
+def parse_key(family: str, key: str):
+    """The object behind a canonical key of family ``S`` (words), ``Y`` (plain
+    trees), ``M`` (circled trees) or ``Q`` (compositions); a tree key of the
+    wrong kind raises ``ValidityError``."""
+    if family == "S":
+        return parse_perm(key)
+    if family == "Q":
+        return parse_composition(key)
+    if family not in ("Y", "M"):
+        raise ValueError(f"unknown family {family!r}")
+    obj = parse_tree(key)
+    if family == "Y" and isinstance(obj, BiLeveledTree):
+        raise ValidityError(f"{key!r} has circled nodes; expected a plain tree")
+    if family == "M" and not isinstance(obj, BiLeveledTree):
+        raise ValidityError(f"{key!r} has no circled nodes; expected a circled key")
+    return obj
+
+
+def render_key(family: str, obj) -> str:
+    """Canonical key of an object of family ``S``, ``Y``, ``M`` or ``Q``."""
+    if family == "S":
+        return render_perm(obj)
+    if family == "Q":
+        return render_composition(obj)
+    return render(obj)
+
+
 # ---------------------------------------------------------------------------
 # node indexing
 
@@ -513,56 +540,43 @@ def graft(forest, base: PlanarTree) -> PlanarTree:
     return tree
 
 
-def _grafted_positions(sizes: tuple[int, ...]):
-    """Result positions of each piece's nodes and of each base node.
-
-    Piece i starts after ``offsets[i]``; base node k lands at ``base_pos[k-1]``.
-    """
-    offsets, base_pos, acc = [], [], 0
-    for i, s in enumerate(sizes):
-        offsets.append(acc + i)
-        acc += s
-        if i < len(sizes) - 1:
-            base_pos.append(acc + i + 1)
-    return offsets, base_pos
-
-
-def graft_onto_bileveled(splitting: Splitting, base: BiLeveledTree) -> BiLeveledTree:
-    """Graft a split bi-leveled tree onto a bi-leveled base.
+def _graft_circled(splitting: Splitting, base: PlanarTree,
+                   base_circled: frozenset[int]) -> BiLeveledTree:
+    """Graft a split bi-leveled tree onto ``base`` and place the circles.
 
     If the first piece is nonempty, every base node is circled and the
     pieces keep their circles; otherwise all piece nodes lose their circles
-    and the base keeps its own.  Either way the result is valid.
+    and the base keeps ``base_circled``.  Either way the result is valid.
     """
     if splitting.circled is None:
         raise ValueError("the splitting must come from a bi-leveled source")
-    if len(splitting.pieces) != base.size + 1:
-        raise ArityError(f"{len(splitting.pieces)} pieces cannot graft onto {base.size} nodes")
-    tree = graft(splitting, base.tree)
-    offsets, base_pos = _grafted_positions(splitting.piece_sizes)
+    tree = graft(splitting, base)
+    # piece i starts after offsets[i]; base node k lands at base_pos[k-1]
+    offsets, base_pos, acc = [], [], 0
+    for i, size in enumerate(splitting.piece_sizes):
+        offsets.append(acc + i)
+        acc += size
+        if i < base.size:
+            base_pos.append(acc + i + 1)
     if splitting.pieces[0].size > 0:
         circled = {off + c for off, circ in zip(offsets, splitting.piece_circles())
                    for c in circ}
         circled.update(base_pos)
     else:
-        circled = {base_pos[k - 1] for k in base.circled}
+        circled = {base_pos[k - 1] for k in base_circled}
     return BiLeveledTree(tree, frozenset(circled))
+
+
+def graft_onto_bileveled(splitting: Splitting, base: BiLeveledTree) -> BiLeveledTree:
+    """Graft a split bi-leveled tree onto a bi-leveled base (see ``_graft_circled``)."""
+    return _graft_circled(splitting, base.tree, base.circled)
 
 
 def graft_onto_tree(splitting: Splitting, base: PlanarTree) -> BiLeveledTree:
     """Graft a restricted split bi-leveled tree onto a plain base, circling all of it."""
-    if splitting.circled is None:
-        raise ValueError("the splitting must come from a bi-leveled source")
     if splitting.pieces[0].size == 0:
         raise ValueError("the first piece must be nonempty")
-    if len(splitting.pieces) != base.size + 1:
-        raise ArityError(f"{len(splitting.pieces)} pieces cannot graft onto {base.size} nodes")
-    tree = graft(splitting, base)
-    offsets, base_pos = _grafted_positions(splitting.piece_sizes)
-    circled = {off + c for off, circ in zip(offsets, splitting.piece_circles())
-               for c in circ}
-    circled.update(base_pos)
-    return BiLeveledTree(tree, frozenset(circled))
+    return _graft_circled(splitting, base, frozenset())
 
 
 def right_graft(b: BiLeveledTree, s: PlanarTree) -> BiLeveledTree:
@@ -715,3 +729,22 @@ def bileveled_of_composition(parts: tuple[int, ...]) -> BiLeveledTree:
 def is_coinvariant_shape(b: BiLeveledTree) -> bool:
     """True iff every node on the right spine is circled."""
     return all(i in b.circled for i in right_spine(b.tree))
+
+
+# ---------------------------------------------------------------------------
+# the structural maps by name
+
+
+# op -> (source family, target family, map on parsed objects)
+MAPS = {
+    "tau": ("S", "Y", tree_of_perm),
+    "beta": ("S", "M", bileveled_of_perm),
+    "phi": ("M", "Y", strip_circles),
+    "min": ("Y", "S", min_word),
+    "max": ("Y", "S", max_word),
+    "mm": ("M", "S", fiber_min_word),
+    "Mm": ("M", "S", section_word),
+    "gammaL": ("Y", "Y", to_left_comb),
+    "gammaR": ("Y", "Y", to_right_comb),
+    "qsym": ("M", "Q", qsym_composition),
+}

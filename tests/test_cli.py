@@ -156,6 +156,16 @@ def test_bad_inputs_exit_two(capsys):
     code, _, err = run(capsys, "product", "--family", "Y",
                        "--left", "(..", "--right", "(..)")
     assert code == 2
+    # a circled key where a plain tree is expected: one-line diagnostic
+    for argv in (["convert", "--family", "Y", "--from", "F", "--to", "M",
+                  "--key", "{..}"],
+                 ["product", "--family", "Y", "--left", "(..)", "--right", "{..}"],
+                 ["product", "--family", "Y", "--left", "{..}", "--right", "(..)"],
+                 ["coproduct", "--family", "Y", "--input", "{{..}.}"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "has circled nodes; expected a plain tree" in err
 
 
 def test_unknown_flags_exit_two(capsys):

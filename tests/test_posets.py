@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from multisym import posets, trees
 from multisym.posets import (
@@ -62,6 +63,45 @@ def test_interval_endpoints():
     assert P.interval("123", "123") == ["123"]
     with pytest.raises(IncomparableError):
         P.interval("132", "213")
+
+
+def interval_ends_reference(P, members):
+    # all-pairs least/greatest scan, then compare with the interval they span
+    members = sorted(members)
+    lo = [w for w in members if all(P.leq(w, v) for v in members)]
+    hi = [w for w in members if all(P.leq(v, w) for v in members)]
+    if len(lo) != 1 or len(hi) != 1 or P.interval(lo[0], hi[0]) != members:
+        return None
+    return lo[0], hi[0]
+
+
+@st.composite
+def member_sets(draw):
+    # an interval of an order on size four, possibly with a few elements
+    # toggled (non-convex sets, lost or extra extremes), or an arbitrary subset
+    P = draw(st.sampled_from([weak_order(4), tamari(4), bileveled_order(4)]))
+    elements = st.sampled_from(P.elements)
+    if draw(st.booleans()):
+        return P, draw(st.sets(elements))
+    x = draw(elements)
+    y = draw(st.sampled_from(P.upset(x)))
+    return P, set(P.interval(x, y)) ^ draw(st.sets(elements, max_size=3))
+
+
+@given(member_sets())
+def test_interval_ends_matches_pairwise_scan(case):
+    P, members = case
+    assert P.interval_ends(members) == interval_ends_reference(P, members)
+
+
+def test_interval_ends_examples():
+    P = weak_order(3)
+    assert P.interval_ends(P.elements) == ("123", "321")
+    assert P.interval_ends(["132"]) == ("132", "132")
+    assert P.interval_ends(["123", "321"]) is None  # least and greatest, not convex
+    assert P.interval_ends(["132", "213"]) is None  # neither least nor greatest
+    assert P.interval_ends(["123", "132", "213"]) is None  # no greatest
+    assert P.interval_ends([]) is None
 
 
 def test_mobius_sum_telescopes():
