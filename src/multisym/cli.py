@@ -112,6 +112,7 @@ def _cmd_coact(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    algebra.key_degree(args.family, args.key)  # checks the key, unit included
     combo = algebra.LinearCombo(args.family, args.from_basis, {args.key: 1})
     if args.to == args.from_basis:
         result = combo

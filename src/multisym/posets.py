@@ -3,12 +3,11 @@ Galois-connection / interval-retract certifiers.
 
 Posets are frozen after construction; comparability is kept as per-element
 bitmasks over the (lexicographically sorted) element list, and Möbius
-values fill a memo table idempotently.
+values are filled one row mu(x, -) at a time, on first use.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,6 +29,14 @@ from .trees import (
     strip_circles,
     tree_of_perm,
 )
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class IncomparableError(ValueError):
@@ -103,12 +110,7 @@ class FinitePoset:
         return bool(self._down[self.index[y]] >> self.index[x] & 1)
 
     def _members(self, mask: int) -> list[str]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self.elements[low.bit_length() - 1])
-            mask ^= low
-        return out
+        return [self.elements[i] for i in _bits(mask)]
 
     def downset(self, x: str) -> list[str]:
         return self._members(self._down[self.index[x]])
@@ -145,22 +147,26 @@ class FinitePoset:
         i, j = self.index[x], self.index[y]
         if not self._down[j] >> i & 1:
             raise IncomparableError(f"{x!r} is not below {y!r}")
-        return self._mobius_idx(i, j)
+        return self._mobius_row(i).get(j, 0)
 
-    def _mobius_idx(self, i: int, j: int) -> int:
-        if i == j:
-            return 1
-        cached = self._mobius.get((i, j))
-        if cached is None:
-            total = 0
-            mask = self._up[i] & self._down[j] & ~(1 << j)
-            while mask:
-                low = mask & -mask
-                total += self._mobius_idx(i, low.bit_length() - 1)
-                mask ^= low
-            cached = -total
-            self._mobius[(i, j)] = cached
-        return cached
+    def _mobius_row(self, i: int) -> dict[int, int]:
+        """``{j: mu(i, j)}`` over the j >= i with a nonzero value."""
+        row = self._mobius.get(i)
+        if row is None:
+            # mu(i, j) = -sum of mu(i, k) over i <= k < j, filled along a linear
+            # extension; the k already filled are kept as one mask per value
+            row = {i: 1}
+            by_value = {1: 1 << i}
+            above = _bits(self._up[i] & ~(1 << i))
+            for j in sorted(above, key=lambda k: self._down[k].bit_count()):
+                below = self._down[j]
+                mu = -sum(value * (mask & below).bit_count()
+                          for value, mask in by_value.items())
+                if mu:
+                    row[j] = mu
+                    by_value[mu] = by_value.get(mu, 0) | 1 << j
+            self._mobius[i] = row
+        return row
 
     def minimum(self) -> str | None:
         full = (1 << len(self.elements)) - 1
@@ -172,28 +178,22 @@ class FinitePoset:
         hits = [x for i, x in enumerate(self.elements) if self._down[i] == full]
         return hits[0] if len(hits) == 1 else None
 
-    def _bound_exists(self, masks, i: int, j: int) -> bool:
-        common = masks[i] & masks[j]
-        if common == 0:
-            return False
-        best, best_count = -1, -1
-        mask = common
-        while mask:
-            low = mask & -mask
-            k = low.bit_length() - 1
-            count = (masks[k] & common).bit_count()
-            if count > best_count:
-                best, best_count = k, count
-            mask ^= low
-        return common & ~masks[best] == 0
-
     def is_lattice(self) -> bool:
-        n = len(self.elements)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not self._bound_exists(self._down, i, j):
-                    return False
-                if not self._bound_exists(self._up, i, j):
+        """Meets only: a finite poset with a top in which every pair has a meet
+        is a lattice (Davey & Priestley, Thm 2.31).  The empty poset passes."""
+        if self.maximum() is None:
+            return not self.elements
+        # re-index along a linear extension (x < y makes down(x) a proper
+        # subset of down(y)), so a greatest common lower bound is the highest
+        # bit of the common down-set, and that down-set is exactly its own
+        size = [mask.bit_count() for mask in self._down]
+        order = sorted(range(len(size)), key=size.__getitem__)
+        place = {old: new for new, old in enumerate(order)}
+        down = [sum(1 << place[k] for k in _bits(self._down[i])) for i in order]
+        for i, mask in enumerate(down):
+            for other in down[i + 1:]:
+                common = mask & other
+                if not common or common != down[common.bit_length() - 1]:
                     return False
         return True
 
@@ -356,11 +356,22 @@ def _fibers(mapping: dict[str, str], codomain) -> dict[str, list[str]]:
 
 
 def _order_preserving(poset_in, poset_out, mapping) -> str | None:
-    for x, y in itertools.combinations(poset_in.elements, 2):
-        for a, b in ((x, y), (y, x)):
-            if poset_in.leq(a, b) and not poset_out.leq(mapping[a], mapping[b]):
-                return f"{a} <= {b} but {mapping[a]} !<= {mapping[b]}"
+    # <= is the reflexive-transitive closure of the covers, so a map that
+    # preserves every cover preserves <=
+    for a, b in poset_in.cover_pairs():
+        if not poset_out.leq(mapping[a], mapping[b]):
+            return f"{a} <= {b} but {mapping[a]} !<= {mapping[b]}"
     return None
+
+
+def _mobius_sums(P, sources, image, size: int) -> list[int]:
+    """Entry t: the sum of mu_P(i, j) over the indices i in ``sources`` and
+    the j >= i with ``image[j] == t``."""
+    sums = [0] * size
+    for i in sources:
+        for j, mu in P._mobius_row(i).items():
+            sums[image[j]] += mu
+    return sums
 
 
 @dataclass(frozen=True)
@@ -389,30 +400,37 @@ def check_galois(pair: PosetMapPair) -> GaloisReport:
     P, Q = pair.source, pair.target
     fwd_bad = _order_preserving(P, Q, pair.forward)
     bwd_bad = _order_preserving(Q, P, pair.backward)
+    fwd = [Q.index[pair.forward[v]] for v in P.elements]
+    bwd_fiber = [[] for _ in P.elements]
+    for t, v in pair.backward.items():
+        bwd_fiber[P.index[v]].append(Q.index[t])
+    # per v, the t with fwd(v) <= t against the t with v <= back(t); the
+    # lowest differing bit is the first failing t in ``Q.elements`` order
+    bwd_mask = [sum(1 << t for t in fiber) for fiber in bwd_fiber]
     adjunction = None
-    for v in P.elements:
-        for t in Q.elements:
-            left = Q.leq(pair.forward[v], t)
-            right = P.leq(v, pair.backward[t])
-            if left != right:
-                adjunction = (f"fwd({v}) <= {t} is {left} but "
-                              f"{v} <= back({t}) is {right}")
-                break
-        if adjunction:
+    for i, v in enumerate(P.elements):
+        left = Q._up[fwd[i]]
+        right = 0
+        for u in _bits(P._up[i]):
+            right |= bwd_mask[u]
+        if left != right:
+            k = next(_bits(left ^ right))
+            t, holds = Q.elements[k], bool(left >> k & 1)
+            adjunction = (f"fwd({v}) <= {t} is {holds} but "
+                          f"{v} <= back({t}) is {not holds}")
             break
     mobius_bad = None
     checked = adjunction is None and fwd_bad is None and bwd_bad is None
     if checked:
-        fwd_fiber = _fibers(pair.forward, Q.elements)
-        bwd_fiber = _fibers(pair.backward, P.elements)
-        for v in P.elements:
-            for t in Q.elements:
-                lhs = sum(P.mobius(v, w) for w in fwd_fiber[t] if P.leq(v, w))
-                rhs = sum(Q.mobius(s, t) for s in bwd_fiber[v] if Q.leq(s, t))
-                if lhs != rhs:
-                    mobius_bad = f"sum mismatch at v={v}, t={t}: {lhs} != {rhs}"
-                    break
-            if mobius_bad:
+        # Rota: the sum of mu_P(v, w) over fwd(w) = t equals the sum of
+        # mu_Q(s, t) over back(s) = v, for every v and t
+        for i, v in enumerate(P.elements):
+            lhs = _mobius_sums(P, [i], fwd, len(Q))
+            rhs = _mobius_sums(Q, bwd_fiber[i], range(len(Q)), len(Q))
+            if lhs != rhs:
+                k = next(k for k in range(len(Q)) if lhs[k] != rhs[k])
+                mobius_bad = (f"sum mismatch at v={v}, t={Q.elements[k]}: "
+                              f"{lhs[k]} != {rhs[k]}")
                 break
     return GaloisReport(fwd_bad, bwd_bad, adjunction, mobius_bad, checked)
 
@@ -451,6 +469,7 @@ def check_interval_retract(pair: PosetMapPair) -> RetractReport:
             section = f"fwd(back({t})) = {pair.forward[pair.backward[t]]}"
             break
     fibers = _fibers(pair.forward, Q.elements)
+    fwd = [Q.index[pair.forward[v]] for v in P.elements]
     fiber_bad = None
     for t in Q.elements:
         if not fibers[t]:
@@ -461,13 +480,14 @@ def check_interval_retract(pair: PosetMapPair) -> RetractReport:
             break
     mobius_bad = None
     for s in Q.elements:
-        for t in Q.elements:
-            if s == t or not Q.leq(s, t):
-                continue
-            total = sum(P.mobius(v, w)
-                        for v in fibers[s] for w in fibers[t] if P.leq(v, w))
-            if total != Q.mobius(s, t):
-                mobius_bad = f"sum over fibers of {s} < {t}: {total} != {Q.mobius(s, t)}"
+        i = Q.index[s]
+        total = _mobius_sums(P, [P.index[v] for v in fibers[s]], fwd, len(Q))
+        expected = Q._mobius_row(i)
+        for k in _bits(Q._up[i] & ~(1 << i)):
+            if total[k] != expected.get(k, 0):
+                t = Q.elements[k]
+                mobius_bad = (f"sum over fibers of {s} < {t}: "
+                              f"{total[k]} != {expected.get(k, 0)}")
                 break
         if mobius_bad:
             break

@@ -166,6 +166,14 @@ def test_bad_inputs_exit_two(capsys):
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "has circled nodes; expected a plain tree" in err
+    # no conversion to run: the key is still checked
+    for argv in (["convert", "--family", "Y", "--from", "F", "--to", "F",
+                  "--key", "{..}"],
+                 ["convert", "--family", "S", "--from", "M", "--to", "M",
+                  "--key", "zz"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unknown_flags_exit_two(capsys):

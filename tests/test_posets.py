@@ -113,6 +113,105 @@ def test_mobius_sum_telescopes():
                 assert total == (1 if x == y else 0)
 
 
+# --- lattice test and Möbius values against oracles of their own ------------
+
+def closure(elements, covers):
+    # reflexive-transitive closure by Warshall's algorithm, as a set of pairs
+    leq = {(x, x) for x in elements} | set(covers)
+    for k in elements:
+        for i in elements:
+            for j in elements:
+                if (i, k) in leq and (k, j) in leq:
+                    leq.add((i, j))
+    return leq
+
+
+def lattice_reference(elements, leq):
+    # every pair has a greatest common lower bound and a least common upper bound
+    def has_extreme(bounds, below):
+        return any(all(below(c, g) for c in bounds) for g in bounds)
+    for x in elements:
+        for y in elements:
+            lower = [c for c in elements if (c, x) in leq and (c, y) in leq]
+            upper = [c for c in elements if (x, c) in leq and (y, c) in leq]
+            if not has_extreme(lower, lambda c, g: (c, g) in leq):
+                return False
+            if not has_extreme(upper, lambda c, g: (g, c) in leq):
+                return False
+    return True
+
+
+def zeta_inverse(elements, leq):
+    # solve Z M = I by back substitution, Z upper unitriangular once the
+    # elements are listed along a linear extension (by the size of down-sets)
+    order = sorted(elements, key=lambda x: sum((c, x) in leq for c in elements))
+    n = len(order)
+    zeta = [[int((order[i], order[j]) in leq) for j in range(n)] for i in range(n)]
+    inv = [[0] * n for _ in range(n)]
+    for i in reversed(range(n)):
+        for j in range(n):
+            inv[i][j] = int(i == j) - sum(zeta[i][k] * inv[k][j]
+                                          for k in range(i + 1, n))
+    return {(order[i], order[j]): inv[i][j] for i in range(n) for j in range(n)}
+
+
+def assert_matches_oracles(P):
+    leq = closure(P.elements, P.cover_pairs())
+    assert P.is_lattice() == lattice_reference(P.elements, leq)
+    inverse = zeta_inverse(P.elements, leq)
+    for x in P.elements:
+        for y in P.elements:
+            if (x, y) in leq:
+                assert P.mobius(x, y) == inverse[x, y]
+            else:
+                assert inverse[x, y] == 0
+                with pytest.raises(IncomparableError):
+                    P.mobius(x, y)
+
+
+@st.composite
+def dag_posets(draw):
+    # covers of a random DAG on up to seven elements (edges point up the
+    # alphabet), with a bottom and a top adjoined or not
+    n = draw(st.integers(1, 7))
+    names = "abcdefg"[:n]
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
+    covers = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    elements = list(names)
+    if draw(st.booleans()):
+        elements.append("0")
+        covers |= {("0", x) for x in names}
+    if draw(st.booleans()):
+        elements.append("z")
+        covers |= {(x, "z") for x in names}
+    return FinitePoset(elements, covers)
+
+
+@given(dag_posets())
+def test_lattice_and_mobius_match_oracles_on_random_posets(P):
+    assert_matches_oracles(P)
+
+
+def test_lattice_and_mobius_match_oracles_on_examples():
+    two_tops = FinitePoset("0ab", {("0", "a"), ("0", "b")})
+    no_top = FinitePoset("abc", {("a", "c")})
+    bowtie = FinitePoset("0abcdz", {("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"),
+                                   ("b", "c"), ("b", "d"), ("c", "z"), ("d", "z")})
+    pentagon = FinitePoset("0abcz", {("0", "a"), ("a", "b"), ("b", "z"),
+                                     ("0", "c"), ("c", "z")})
+    diamond = FinitePoset("0abcz", {("0", x) for x in "abc"} | {(x, "z") for x in "abc"})
+    for P in (two_tops, no_top, bowtie):
+        assert not P.is_lattice()
+        assert_matches_oracles(P)
+    for P in (pentagon, diamond, FinitePoset("a", set())):
+        assert P.is_lattice()
+        assert_matches_oracles(P)
+    assert diamond.mobius("0", "z") == 2
+    for P in (weak_order(4), tamari(5), bileveled_order(4)):
+        assert P.is_lattice()
+        assert_matches_oracles(P)
+
+
 # --- weak order -------------------------------------------------------------
 
 def test_weak_order_covers_example():
@@ -268,7 +367,11 @@ def test_bileveled_pair_adjunction_holds_through_three_fails_at_four():
         assert check_galois(bileveled_section_pair(n)).adjunction_holds
     report = check_galois(bileveled_section_pair(4))
     assert not report.adjunction_holds
-    assert "1342" in report.adjunction_failure
+    assert report.adjunction_failure == (
+        "fwd(1342) <= {{.(..)}{..}} is True but 1342 <= back({{.(..)}{..}}) is False")
+    assert check_galois(bileveled_section_pair(5)).adjunction_failure == (
+        "fwd(12453) <= {{.((..).)}{..}} is True but "
+        "12453 <= back({{.((..).)}{..}}) is False")
 
 
 def test_bileveled_pair_is_an_interval_retract():
@@ -277,6 +380,23 @@ def test_bileveled_pair_is_an_interval_retract():
         assert report.clauses_hold
         assert report.mobius_failure is None
         assert report.passed
+
+
+def test_swapped_extremes_break_order_preservation():
+    # the identity on the hexagon with the images of its least and greatest
+    # words swapped; the witness is a violated cover
+    P = weak_order(3)
+    swapped = {x: x for x in P.elements}
+    swapped["123"], swapped["321"] = "321", "123"
+    pair = PosetMapPair(P, P, swapped, swapped)
+    for witness in (check_galois(pair).forward_order_preserving,
+                    check_interval_retract(pair).forward_order_preserving):
+        assert witness is not None
+        a, _, b, but, fa, _, fb = witness.split()
+        assert (a, b) in P.cover_pairs()
+        assert (but, fa, fb) == ("but", swapped[a], swapped[b])
+    assert not check_galois(pair).passed
+    assert not check_interval_retract(pair).passed
 
 
 def test_broken_backward_map_fails_the_retract_clause():
