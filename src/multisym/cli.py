@@ -159,6 +159,10 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.n_max is not None and args.n_max < 1:
+        raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
+    if args.s_max is not None and args.s_max < 0:
+        raise ValueError(f"--s-max must be at least 0, got {args.s_max}")
     suite = verify.SUITES[args.suite]
     if args.suite == "hopf-module":
         kwargs = {}
@@ -274,6 +278,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, posets.IncomparableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return 2
     except posets.CertificationError as exc:
         print(f"certification error: {exc}", file=sys.stderr)

@@ -39,6 +39,29 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _close(n: int, edges) -> list[int]:
+    """Per index, the mask of itself and every index that reaches it along ``edges``."""
+    above = [[] for _ in range(n)]
+    indeg = [0] * n
+    for i, j in edges:
+        above[i].append(j)
+        indeg[j] += 1
+    down = [1 << i for i in range(n)]
+    queue = [i for i in range(n) if indeg[i] == 0]
+    seen = 0
+    while queue:
+        i = queue.pop()
+        seen += 1
+        for j in above[i]:
+            down[j] |= down[i]
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                queue.append(j)
+    if seen != n:
+        raise ValueError("cover relation has a cycle")
+    return down
+
+
 class IncomparableError(ValueError):
     """Asked for interval data on an incomparable pair."""
 
@@ -48,57 +71,34 @@ class CertificationError(RuntimeError):
 
 
 class FinitePoset:
-    """Explicit finite poset built from its cover relation.
-
-    ``leq`` is the reflexive-transitive closure of ``covers``; construction
-    fails on cycles.  Elements are sorted canonical strings.
+    """Explicit finite poset: ``leq`` is the reflexive-transitive closure of
+    ``relation`` (cycles are rejected), and ``covers`` keeps the pairs of
+    ``relation`` with nothing strictly between them, which is the transitive
+    reduction, since that lies in every relation generating the order (Aho,
+    Garey & Ullman 1972).  Elements are sorted canonical strings.
     """
 
     __slots__ = ("elements", "index", "covers", "_down", "_up", "_mobius")
 
-    def __init__(self, elements, covers):
+    def __init__(self, elements, relation):
         self.elements = sorted(elements)
         self.index = {x: i for i, x in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise ValueError("duplicate elements")
-        for x, y in covers:
+        edges = []
+        for x, y in relation:
             if x not in self.index or y not in self.index:
                 raise ValueError(f"cover ({x!r}, {y!r}) mentions unknown elements")
             if x == y:
                 raise ValueError(f"self-cover on {x!r}")
-        self.covers = frozenset(covers)
-        self._down = self._close()
+            edges.append((self.index[x], self.index[y]))
         n = len(self.elements)
-        self._up = [0] * n
-        for j in range(n):
-            mask = self._down[j]
-            while mask:
-                low = mask & -mask
-                self._up[low.bit_length() - 1] |= 1 << j
-                mask ^= low
+        self._down = _close(n, edges)
+        self._up = _close(n, ((j, i) for i, j in edges))
+        self.covers = frozenset(
+            (self.elements[i], self.elements[j]) for i, j in edges
+            if (self._up[i] & self._down[j]).bit_count() == 2)
         self._mobius = {}
-
-    def _close(self):
-        n = len(self.elements)
-        above = [[] for _ in range(n)]
-        indeg = [0] * n
-        for x, y in self.covers:
-            above[self.index[x]].append(self.index[y])
-            indeg[self.index[y]] += 1
-        down = [1 << i for i in range(n)]
-        queue = [i for i in range(n) if indeg[i] == 0]
-        seen = 0
-        while queue:
-            i = queue.pop()
-            seen += 1
-            for j in above[i]:
-                down[j] |= down[i]
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    queue.append(j)
-        if seen != n:
-            raise ValueError("cover relation has a cycle")
-        return down
 
     def __len__(self):
         return len(self.elements)
@@ -130,15 +130,11 @@ class FinitePoset:
         for x in members:
             mask |= 1 << self.index[x]
         lo = hi = None
-        rest = mask
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
+        for i in _bits(mask):
             if mask & ~self._up[i] == 0:
                 lo = i
             if mask & ~self._down[i] == 0:
                 hi = i
-            rest ^= low
         if lo is None or hi is None or self._up[lo] & self._down[hi] != mask:
             return None
         return self.elements[lo], self.elements[hi]
@@ -259,33 +255,20 @@ def tamari(n: int) -> FinitePoset:
 @lru_cache(maxsize=None)
 def bileveled_order(n: int) -> FinitePoset:
     """Weak order on M_n: compare underlying shapes in the rotation order and
-    circled sets by reverse inclusion.  Covers come from transitive reduction."""
+    circled sets by reverse inclusion."""
     if n < 1:
         raise ValueError("bi-leveled order needs n >= 1")
-    objs = all_bileveled(n)
-    keys = [render(b) for b in objs]  # sorted, matching FinitePoset order
-    shapes = [render(strip_circles(b)) for b in objs]
     tam = tamari(n)
-    m = len(objs)
-    down = [0] * m
-    up = [0] * m
-    for i in range(m):
-        for j in range(m):
-            if (objs[j].circled <= objs[i].circled
-                    and tam.leq(shapes[i], shapes[j])):
-                down[j] |= 1 << i
-                up[i] |= 1 << j
-    covers = set()
-    for i in range(m):
-        for j in range(m):
-            if i != j and down[j] >> i & 1:
-                between = down[j] & up[i] & ~(1 << i) & ~(1 << j)
-                if between == 0:
-                    covers.add((keys[i], keys[j]))
-    built = FinitePoset(keys, covers)
-    if built._down != down:
-        raise CertificationError("cover reduction changed the order")
-    return built
+    by_shape = [[] for _ in tam.elements]
+    for b in all_bileveled(n):
+        by_shape[tam.index[render(strip_circles(b))]].append((b.circled, render(b)))
+    keys = [key for group in by_shape for _, key in group]
+    relation = []
+    for below, group in zip(tam._down, by_shape):
+        lower = [a for s in _bits(below) for a in by_shape[s]]
+        for circled, key in group:
+            relation += [(x, key) for c, x in lower if circled <= c and x != key]
+    return FinitePoset(keys, relation)
 
 
 def poset_for(family: str, n: int) -> FinitePoset:

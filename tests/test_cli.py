@@ -166,11 +166,18 @@ def test_bad_inputs_exit_two(capsys):
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "has circled nodes; expected a plain tree" in err
-    # no conversion to run: the key is still checked
+    # no conversion to run: the key is still checked; inputs deeper than the
+    # recursion limit and verify bounds that would check nothing are refused
+    deep = "(" * 1500 + ".." + ")" + ".)" * 1499
     for argv in (["convert", "--family", "Y", "--from", "F", "--to", "F",
                   "--key", "{..}"],
                  ["convert", "--family", "S", "--from", "M", "--to", "M",
-                  "--key", "zz"]):
+                  "--key", "zz"],
+                 ["map", "--op", "tau", "--input", ",".join(map(str, range(1, 1200)))],
+                 ["map", "--op", "min", "--input", deep],
+                 ["verify", "fibers", "--n-max", "-3"],
+                 ["verify", "galois", "--n-max", "0"],
+                 ["verify", "hopf-module", "--s-max", "-1"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1

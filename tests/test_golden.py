@@ -3,8 +3,9 @@ suite at its default bound.
 
 The expected stdout and exit codes in ``golden/cli.json`` were captured from
 the command line before the key, map and poset code was consolidated (the
-two size-six certificate runs: before the certificates moved to bitmasks); a
-refactor must reproduce them exactly.  To regenerate after an intended
+two size-six certificate runs: before the certificates moved to bitmasks; the
+three ``hasse`` cases after them: before ``FinitePoset`` reduced the relation
+it is given); a refactor must reproduce them exactly.  To regenerate after an intended
 output change, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -49,6 +50,10 @@ COMMANDS = [
     # the poset certificates at the sizes the benchmark's certify workload runs
     ["verify", "galois", "--n-max", "6"],
     ["verify", "interval-retract", "--n-max", "6"],
+    # the cover diagram of each order beyond the README's
+    ["hasse", "--family", "S", "--n", "4"],
+    ["hasse", "--family", "Y", "--n", "5"],
+    ["hasse", "--family", "M", "--n", "5"],
 ]
 
 

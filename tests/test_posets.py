@@ -31,9 +31,13 @@ from multisym.trees import (
 )
 
 
+def position_inversions(word):
+    return {(i, j) for i, j in itertools.combinations(range(len(word)), 2)
+            if word[i] > word[j]}
+
+
 def inversions(word):
-    return sum(1 for i, j in itertools.combinations(range(len(word)), 2)
-               if word[i] > word[j])
+    return len(position_inversions(word))
 
 
 # --- the generic engine -----------------------------------------------------
@@ -155,8 +159,18 @@ def zeta_inverse(elements, leq):
     return {(order[i], order[j]): inv[i][j] for i in range(n) for j in range(n)}
 
 
-def assert_matches_oracles(P):
-    leq = closure(P.elements, P.cover_pairs())
+def reduction(elements, leq):
+    # the pairs x < y with no z strictly between them, sorted
+    strict = {(x, y) for x, y in leq if x != y}
+    return sorted((x, y) for x, y in strict
+                  if not any((x, z) in strict and (z, y) in strict for z in elements))
+
+
+def assert_matches_oracles(P, relation):
+    leq = closure(P.elements, relation)
+    assert P.cover_pairs() == reduction(P.elements, leq)
+    for x in P.elements:
+        assert P.upset(x) == [y for y in P.elements if (x, y) in leq]
     assert P.is_lattice() == lattice_reference(P.elements, leq)
     inverse = zeta_inverse(P.elements, leq)
     for x in P.elements:
@@ -171,8 +185,9 @@ def assert_matches_oracles(P):
 
 @st.composite
 def dag_posets(draw):
-    # covers of a random DAG on up to seven elements (edges point up the
-    # alphabet), with a bottom and a top adjoined or not
+    # a random DAG on up to seven elements (edges point up the alphabet, so
+    # the relation is often not transitively reduced), with a bottom and a top
+    # adjoined to every element or not; yields the poset and its relation
     n = draw(st.integers(1, 7))
     names = "abcdefg"[:n]
     pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
@@ -184,32 +199,38 @@ def dag_posets(draw):
     if draw(st.booleans()):
         elements.append("z")
         covers |= {(x, "z") for x in names}
-    return FinitePoset(elements, covers)
+    return FinitePoset(elements, covers), covers
 
 
 @given(dag_posets())
-def test_lattice_and_mobius_match_oracles_on_random_posets(P):
-    assert_matches_oracles(P)
+def test_lattice_and_mobius_match_oracles_on_random_posets(case):
+    assert_matches_oracles(*case)
 
 
 def test_lattice_and_mobius_match_oracles_on_examples():
-    two_tops = FinitePoset("0ab", {("0", "a"), ("0", "b")})
-    no_top = FinitePoset("abc", {("a", "c")})
-    bowtie = FinitePoset("0abcdz", {("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"),
-                                   ("b", "c"), ("b", "d"), ("c", "z"), ("d", "z")})
-    pentagon = FinitePoset("0abcz", {("0", "a"), ("a", "b"), ("b", "z"),
-                                     ("0", "c"), ("c", "z")})
-    diamond = FinitePoset("0abcz", {("0", x) for x in "abc"} | {(x, "z") for x in "abc"})
-    for P in (two_tops, no_top, bowtie):
-        assert not P.is_lattice()
-        assert_matches_oracles(P)
-    for P in (pentagon, diamond, FinitePoset("a", set())):
-        assert P.is_lattice()
-        assert_matches_oracles(P)
-    assert diamond.mobius("0", "z") == 2
+    two_tops = ("0ab", {("0", "a"), ("0", "b")})
+    no_top = ("abc", {("a", "c")})
+    bowtie = ("0abcdz", {("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"),
+                         ("b", "c"), ("b", "d"), ("c", "z"), ("d", "z")})
+    pentagon = ("0abcz", {("0", "a"), ("a", "b"), ("b", "z"), ("0", "c"), ("c", "z")})
+    diamond = ("0abcz", {("0", x) for x in "abc"} | {(x, "z") for x in "abc"})
+    for (elements, relation), lattice in ((two_tops, False), (no_top, False),
+                                          (bowtie, False), (pentagon, True),
+                                          (diamond, True), (("a", set()), True)):
+        P = FinitePoset(elements, relation)
+        assert P.is_lattice() == lattice
+        assert_matches_oracles(P, relation)
+    assert FinitePoset(*diamond).mobius("0", "z") == 2
     for P in (weak_order(4), tamari(5), bileveled_order(4)):
         assert P.is_lattice()
-        assert_matches_oracles(P)
+        assert_matches_oracles(P, P.cover_pairs())
+
+
+def test_covers_are_the_reduction_of_a_transitive_relation():
+    P = FinitePoset("abc", {("a", "b"), ("b", "c"), ("a", "c")})
+    assert P.cover_pairs() == [("a", "b"), ("b", "c")]
+    assert P.leq("a", "c")
+    assert '"a" -> "c"' not in P.to_dot()
 
 
 # --- weak order -------------------------------------------------------------
@@ -303,6 +324,22 @@ def test_bileveled_extremes_on_four_nodes():
     assert len(P) == 21
     assert P.minimum() == render(bileveled_of_perm((1, 2, 3, 4)))
     assert P.maximum() == render(bileveled_of_perm((4, 3, 2, 1)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bileveled_order_matches_its_definition(n):
+    # a <= b when the shape of a lies below that of b in the rotation order,
+    # read as inclusion of the position-inversion sets of their minimal words,
+    # and every circled node of b is circled in a; covers by brute force
+    keys = enumerate_family("M", n)
+    objs = {k: parse_tree(k) for k in keys}
+    inv = {k: position_inversions(min_word(b.tree)) for k, b in objs.items()}
+    leq = {(a, b) for a in keys for b in keys
+           if inv[a] <= inv[b] and objs[b].circled <= objs[a].circled}
+    P = bileveled_order(n)
+    assert P.elements == keys
+    assert [(a, b) for a in keys for b in keys if P.leq(a, b)] == sorted(leq)
+    assert P.cover_pairs() == reduction(keys, leq)
 
 
 def test_projections_are_order_preserving():
