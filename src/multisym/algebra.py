@@ -10,7 +10,9 @@ which never occurs as an enumerable key.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import posets
 from .trees import (
@@ -45,6 +47,7 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+@lru_cache(maxsize=None)
 def key_degree(family: str, key: str) -> int:
     if family == "M" and key == UNIT_KEY["M"]:
         return 0
@@ -106,12 +109,27 @@ def tensor_to_json(t: TensorCombo) -> str:
 
 # ---------------------------------------------------------------------------
 # fundamental-basis structure maps
+#
+# Each map is a pure function of its string keys, memoised on them as a tuple
+# of (key, coefficient) items with interned keys; the public function checks
+# its arguments first and builds a fresh combination on every call.
+
+
+def _frozen(terms: dict) -> tuple:
+    """The items of ``terms`` with every key string interned."""
+    return tuple((sys.intern(k) if isinstance(k, str) else tuple(map(sys.intern, k)), v)
+                 for k, v in terms.items())
 
 
 def product_fund(family: str, x: str, y: str) -> LinearCombo:
     """Product of two fundamental basis elements of the word or tree family."""
     _require(family in ("S", "Y"),
              "the circled family multiplies through product_msym")
+    return LinearCombo(family, "F", dict(_product_fund(family, x, y)))
+
+
+@lru_cache(maxsize=None)
+def _product_fund(family: str, x: str, y: str) -> tuple:
     u, v = parse_key(family, x), parse_key(family, y)
     terms: dict[str, int] = {}
     if family == "S":
@@ -130,12 +148,17 @@ def product_fund(family: str, x: str, y: str) -> LinearCombo:
         for sp in splittings(u, v.size):
             key = render(graft(sp, v))
             terms[key] = terms.get(key, 0) + 1
-    return LinearCombo(family, "F", terms)
+    return _frozen(terms)
 
 
 def coproduct_fund(family: str, x: str) -> TensorCombo:
     """Coproduct of a fundamental basis element: the sum over single cuts."""
     _require(family in ("S", "Y"), "only the word and tree families have coproducts")
+    return TensorCombo(family, family, "F", "F", dict(_coproduct_fund(family, x)))
+
+
+@lru_cache(maxsize=None)
+def _coproduct_fund(family: str, x: str) -> tuple:
     obj = parse_key(family, x)
     terms: dict[tuple[str, str], int] = {}
     if family == "S":
@@ -147,7 +170,7 @@ def coproduct_fund(family: str, x: str) -> TensorCombo:
         for sp in splittings(obj, 1):
             pair = (render(sp.pieces[0]), render(sp.pieces[1]))
             terms[pair] = terms.get(pair, 0) + 1
-    return TensorCombo(family, family, "F", "F", terms)
+    return _frozen(terms)
 
 
 def product_msym(x: str, y: str) -> LinearCombo:
@@ -155,16 +178,21 @@ def product_msym(x: str, y: str) -> LinearCombo:
 
     The formal key "1" is a two-sided unit.
     """
+    return LinearCombo("M", "F", dict(_product_msym(x, y)))
+
+
+@lru_cache(maxsize=None)
+def _product_msym(x: str, y: str) -> tuple:
     if x == UNIT_KEY["M"]:
-        return LinearCombo("M", "F", {y: 1})
+        return _frozen({y: 1})
     if y == UNIT_KEY["M"]:
-        return LinearCombo("M", "F", {x: 1})
+        return _frozen({x: 1})
     b, s = parse_key("M", x), parse_key("M", y)
     terms: dict[str, int] = {}
     for sp in splittings(b, s.size):
         key = render(graft_onto_bileveled(sp, s))
         terms[key] = terms.get(key, 0) + 1
-    return LinearCombo("M", "F", terms)
+    return _frozen(terms)
 
 
 def action_ssym(w: str, s: str) -> LinearCombo:
@@ -177,24 +205,34 @@ def action_ssym(w: str, s: str) -> LinearCombo:
 
 def action_ysym(b: str, s: str) -> LinearCombo:
     """Right action of a tree on a circled key via restricted splittings."""
+    return LinearCombo("M", "F", dict(_action_ysym(b, s)))
+
+
+@lru_cache(maxsize=None)
+def _action_ysym(b: str, s: str) -> tuple:
     obj, base = parse_key("M", b), parse_key("Y", s)
     terms: dict[str, int] = {}
     for sp in splittings(obj, base.size, restricted=True):
         key = render(graft_onto_tree(sp, base))
         terms[key] = terms.get(key, 0) + 1
-    return LinearCombo("M", "F", terms)
+    return _frozen(terms)
 
 
 def coaction(b: str) -> TensorCombo:
     """Coaction of the tree family on a circled key: restricted single cuts,
     circles dropped on the right factor."""
+    return TensorCombo("M", "Y", "F", "F", dict(_coaction(b)))
+
+
+@lru_cache(maxsize=None)
+def _coaction(b: str) -> tuple:
     obj = parse_key("M", b)
     terms: dict[tuple[str, str], int] = {}
     for sp in splittings(obj, 1, restricted=True):
         left = BiLeveledTree(sp.pieces[0], sp.piece_circles()[0])
         pair = (render(left), render(sp.pieces[1]))
         terms[pair] = terms.get(pair, 0) + 1
-    return TensorCombo("M", "Y", "F", "F", terms)
+    return _frozen(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -239,21 +277,22 @@ def tensor_basis(t: TensorCombo, basis: str) -> TensorCombo:
     if (t.left_basis, t.right_basis) == (basis, basis):
         return t
     _require(t.left_basis == t.right_basis, "mixed-basis tensors are not produced")
+    convert = to_monomial if basis == "M" else from_monomial
+    sides: dict[tuple[str, str], list] = {}  # each factor key converted once
+
+    def side(family, key):
+        if (family, key) not in sides:
+            sides[family, key] = convert(LinearCombo(family, t.left_basis, {key: 1})).items()
+        return sides[family, key]
+
     out: dict[tuple[str, str], int] = {}
     for (left, right), c in t.terms.items():
-        lp = _side_conversion(t.left_family, left, t.left_basis, basis)
-        rp = _side_conversion(t.right_family, right, t.right_basis, basis)
-        for lk, lc in lp:
+        rp = side(t.right_family, right)
+        for lk, lc in side(t.left_family, left):
             for rk, rc in rp:
                 pair = (lk, rk)
                 out[pair] = out.get(pair, 0) + c * lc * rc
     return TensorCombo(t.left_family, t.right_family, basis, basis, out)
-
-
-def _side_conversion(family, key, basis_in, basis_out):
-    single = LinearCombo(family, basis_in, {key: 1})
-    converted = to_monomial(single) if basis_out == "M" else from_monomial(single)
-    return converted.items()
 
 
 # ---------------------------------------------------------------------------

@@ -112,9 +112,6 @@ class FinitePoset:
     def _members(self, mask: int) -> list[str]:
         return [self.elements[i] for i in _bits(mask)]
 
-    def downset(self, x: str) -> list[str]:
-        return self._members(self._down[self.index[x]])
-
     def upset(self, x: str) -> list[str]:
         return self._members(self._up[self.index[x]])
 
@@ -210,11 +207,23 @@ class FinitePoset:
 # the three concrete orders, one poset per size
 
 
+# S_n keeps two tables of n! masks of n! bits: about 400 MB at n = 8 and
+# about 33 GB at n = 9
+MAX_WEAK_N = 8
+
+
+def check_weak_size(n: int) -> None:
+    """Refuse a weak order too large for its dense masks, before any work."""
+    if n > MAX_WEAK_N:
+        raise ValueError(f"weak order is limited to n <= {MAX_WEAK_N}, got n = {n}")
+
+
 @lru_cache(maxsize=None)
 def weak_order(n: int) -> FinitePoset:
     """Left weak order on S_n: covers swap the values k, k+1 when k sits left of k+1."""
     if n < 1:
         raise ValueError("weak order needs n >= 1")
+    check_weak_size(n)
     elements = enumerate_family("S", n)
     covers = set()
     for key in elements:

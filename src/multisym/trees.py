@@ -59,18 +59,28 @@ def _check_bileveled(tree: PlanarTree, circled: frozenset[int]) -> None:
     n = tree.size
     if n == 0:
         raise ValidityError("a circled tree needs at least one node")
-    if not circled <= frozenset(range(1, n + 1)):
+    indices = range(1, n + 1)
+    if not all(c in indices for c in circled):
         raise ValidityError(f"circled indices out of range 1..{n}")
     if 1 not in circled:
         raise ValidityError("leftmost node (index 1) must be circled")
-    parent, children = node_relations(tree)
-    for child in children[1]:
-        if child is not None and child in circled:
-            raise ValidityError("leftmost node must have no circled children")
-    root = tree.left.size + 1
-    for c in circled:
-        if c != root and parent[c] not in circled:
-            raise ValidityError(f"circled node {c} has an uncircled parent")
+    # one walk over the nodes as (subtree, index offset, parent index); a
+    # circled child of node 1 is reported at once, else the smallest circled
+    # node below an uncircled one
+    smallest, stack = None, [(tree, 0, None)]
+    while stack:
+        t, offset, parent = stack.pop()
+        if t.is_leaf:
+            continue
+        i = offset + t.left.size + 1
+        if i in circled and parent is not None:
+            if parent == 1:
+                raise ValidityError("leftmost node must have no circled children")
+            if parent not in circled and (smallest is None or i < smallest):
+                smallest = i
+        stack += ((t.left, offset, i), (t.right, i, i))
+    if smallest is not None:
+        raise ValidityError(f"circled node {smallest} has an uncircled parent")
 
 
 @dataclass(frozen=True)
@@ -157,54 +167,69 @@ class Splitting:
 def render(obj) -> str:
     """Canonical string of a tree or bi-leveled tree."""
     if isinstance(obj, PlanarTree):
-        return _render_tree(obj)
-    if isinstance(obj, BiLeveledTree):
-        return _render_circled(obj.tree, 0, obj.circled)
-    raise TypeError(f"cannot render {type(obj).__name__}")
-
-
-def _render_tree(t: PlanarTree) -> str:
-    if t.is_leaf:
-        return "."
-    return f"({_render_tree(t.left)}{_render_tree(t.right)})"
-
-
-def _render_circled(t: PlanarTree, offset: int, circled: frozenset[int]) -> str:
-    if t.is_leaf:
-        return "."
-    root = offset + t.left.size + 1
-    inner = _render_circled(t.left, offset, circled) + _render_circled(t.right, root, circled)
-    return "{%s}" % inner if root in circled else "(%s)" % inner
+        tree, circled = obj, frozenset()
+    elif isinstance(obj, BiLeveledTree):
+        tree, circled = obj.tree, obj.circled
+    else:
+        raise TypeError(f"cannot render {type(obj).__name__}")
+    # pre-order walk; a closing bracket waits on the stack below the
+    # subtrees it closes
+    out, stack = [], [(tree, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        t, offset = item
+        if t.is_leaf:
+            out.append(".")
+            continue
+        root = offset + t.left.size + 1
+        opener, closer = "{}" if root in circled else "()"
+        out.append(opener)
+        stack += (closer, (t.right, root), (t.left, offset))
+    return "".join(out)
 
 
 def parse_tree(text: str) -> PlanarTree | BiLeveledTree:
-    """Parse a canonical string; circled braces yield a validated BiLeveledTree."""
-    tree, circled, end = _parse(text, 0)
-    if end != len(text):
-        raise ParseError(f"trailing characters at position {end}: {text!r}")
+    """Parse a canonical string; circled braces yield a validated BiLeveledTree.
+
+    One left-to-right scan: each open node waits on the stack for its two
+    children, and takes the next in-order index once its left child is done.
+    """
+    stack: list[list] = []  # open nodes: [closer, is circled, left child]
+    circled: list[int] = []
+    seen, i, end = 0, 0, len(text)
+    while True:
+        # a tree starts at i
+        if i >= end:
+            raise ParseError(f"unexpected end of input: {text!r}")
+        ch = text[i]
+        i += 1
+        if ch in "({":
+            stack.append([")" if ch == "(" else "}", ch == "{", None])
+            continue
+        if ch != ".":
+            raise ParseError(f"unexpected character {ch!r} at position {i - 1}: {text!r}")
+        node = LEAF
+        # a tree ends before i: it is the left child, the right child or the root
+        while stack and stack[-1][2] is not None:
+            closer, _, left = stack.pop()
+            if i >= end or text[i] != closer:
+                raise ParseError(f"expected {closer!r} at position {i}: {text!r}")
+            node = PlanarTree(left, node)
+            i += 1
+        if not stack:
+            break
+        stack[-1][2] = node
+        seen += 1
+        if stack[-1][1]:
+            circled.append(seen)
+    if i != end:
+        raise ParseError(f"trailing characters at position {i}: {text!r}")
     if circled:
-        return BiLeveledTree(tree, circled)
-    return tree
-
-
-def _parse(s: str, i: int):
-    if i >= len(s):
-        raise ParseError(f"unexpected end of input: {s!r}")
-    ch = s[i]
-    if ch == ".":
-        return LEAF, frozenset(), i + 1
-    if ch in "({":
-        closer = ")" if ch == "(" else "}"
-        left, cl, j = _parse(s, i + 1)
-        right, cr, j2 = _parse(s, j)
-        if j2 >= len(s) or s[j2] != closer:
-            raise ParseError(f"expected {closer!r} at position {j2}: {s!r}")
-        root = left.size + 1
-        circled = frozenset(cl) | frozenset(c + root for c in cr)
-        if ch == "{":
-            circled |= {root}
-        return PlanarTree(left, right), circled, j2 + 1
-    raise ParseError(f"unexpected character {ch!r} at position {i}: {s!r}")
+        return BiLeveledTree(node, frozenset(circled))
+    return node
 
 
 def render_perm(word: tuple[int, ...]) -> str:
@@ -274,7 +299,6 @@ def render_key(family: str, obj) -> str:
 # node indexing
 
 
-@lru_cache(maxsize=None)
 def node_relations(tree: PlanarTree):
     """Parent and (left, right) child indices for each in-order node index."""
     parent: dict[int, int | None] = {}

@@ -327,3 +327,80 @@ def test_zero_terms_are_dropped():
     assert combo.terms == {".": 2}
     tensor = TensorCombo("M", "Y", "F", "F", {("{..}", "."): 0})
     assert not tensor
+
+
+# --- the memo on the structure maps -------------------------------------------
+
+M_KEYS = [k for n in range(1, 5) for k in enumerate_family("M", n)]
+Y_KEYS = [k for n in range(4) for k in enumerate_family("Y", n)]
+MEMOS = (algebra.key_degree, algebra._product_fund, algebra._coproduct_fund,
+         algebra._product_msym, algebra._action_ysym, algebra._coaction)
+
+
+def structure_map_calls():
+    """Every memoised map on every circled key of size <= 4 and plain tree
+    of size <= 3, as (function, arguments); the circled product pairs each
+    circled key with the unit and the keys of size <= 2, on either side."""
+    calls = [(coaction, (b,)) for b in M_KEYS]
+    calls += [(action_ysym, (b, s)) for b in M_KEYS for s in Y_KEYS]
+    calls += [(product_msym, pair) for b in M_KEYS for c in ["1", *M_KEYS[:3]]
+              for pair in ((b, c), (c, b))]
+    calls += [(product_fund, ("Y", s, t)) for s in Y_KEYS for t in Y_KEYS]
+    calls += [(coproduct_fund, ("Y", s)) for s in Y_KEYS]
+    calls += [(key_degree, (family, k)) for family, keys in (("M", M_KEYS), ("Y", Y_KEYS))
+              for k in keys]
+    return calls
+
+
+def test_memoised_maps_match_a_cleared_cache():
+    calls = structure_map_calls()
+    warm = [f(*args) for f, args in calls]
+    for memo in MEMOS:
+        memo.cache_clear()
+    cold = [f(*args) for f, args in calls]
+    assert cold == warm
+    assert [f(*args) for f, args in calls] == cold
+    for memo in MEMOS:
+        info = memo.cache_info()
+        assert info.hits >= info.currsize > 0
+
+
+@pytest.mark.parametrize("f, args", [
+    (coaction, ("{{.(..)}(..)}",)),
+    (action_ysym, ("{{..}.}", "(..)")),
+    (product_msym, ("{{..}.}", "{..}")),
+    (product_msym, ("1", "{..}")),
+    (product_fund, ("Y", "(..)", "(..)")),
+    (product_fund, ("S", "21", "1")),
+    (coproduct_fund, ("S", "3142")),
+    (coproduct_fund, ("Y", "((..).)")),
+])
+def test_mutating_an_answer_leaves_the_memo_intact(f, args):
+    expected = f(*args)
+    got = f(*args)
+    assert got == expected and got.terms is not expected.terms
+    key = next(iter(got.terms))
+    got.terms[key] += 5
+    got.terms.clear()
+    assert f(*args) == expected and f(*args).terms
+
+
+@pytest.mark.parametrize("f, args", [
+    (coaction, ("(..)",)),
+    (coaction, ("{..",)),
+    (action_ysym, ("{..}", "{..}")),
+    (action_ysym, ("(..)", "(..)")),
+    (product_msym, ("{..}", "(..)")),
+    (product_msym, ("{.", "{..}")),
+    (product_fund, ("Y", "{..}", "(..)")),
+    (product_fund, ("S", "12", "13")),
+    (product_fund, ("M", "{..}", "{..}")),
+    (coproduct_fund, ("Y", "((.)")),
+    (coproduct_fund, ("M", "{..}")),
+    (key_degree, ("M", "(..)")),
+    (key_degree, ("S", "x")),
+], ids=repr)
+def test_bad_keys_raise_on_every_call(f, args):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            f(*args)

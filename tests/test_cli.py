@@ -183,6 +183,20 @@ def test_bad_inputs_exit_two(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", suite, "--n-max", "9"]
+    for suite in ("fibers", "tamari-oracle", "galois", "interval-retract", "eq8")
+] + [
+    ["mobius", "--family", "S", "--n", "9", "--x", "123456789", "--y", "987654321"],
+    ["hasse", "--family", "S", "--n", "9"],
+], ids=" ".join)
+@pytest.mark.usefixtures("refuse_enumeration")
+def test_weak_order_past_its_size_limit_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: weak order is limited to n <= 8, got n = 9\n"
+
+
 def test_unknown_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["map", "--op", "nosuch", "--input", "1"])

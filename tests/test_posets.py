@@ -265,6 +265,13 @@ def test_weak_order_mobius_values():
     assert P.mobius("123", "231") == 0
 
 
+@pytest.mark.usefixtures("refuse_enumeration")
+def test_weak_order_refuses_sizes_past_its_masks():
+    for n in (9, 12):
+        with pytest.raises(ValueError, match=r"^weak order is limited to n <= 8, got n = \d+$"):
+            weak_order(n)
+
+
 def test_weak_order_is_lattice():
     for n in (2, 3, 4, 5):
         assert weak_order(n).is_lattice()

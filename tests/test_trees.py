@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -108,6 +109,74 @@ def test_parse_rejects_uncircled_parent():
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_tree(bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("", "unexpected end of input: ''"),
+    ("(.", "unexpected end of input: '(.'"),
+    ("(.)", "unexpected character ')' at position 2: '(.)'"),
+    ("(...)", "expected ')' at position 3: '(...)'"),
+    ("{..)", "expected '}' at position 3: '{..)'"),
+    ("(..))", "trailing characters at position 4: '(..))'"),
+    ("(x.)", "unexpected character 'x' at position 1: '(x.)'"),
+])
+def test_parse_error_messages(bad, message):
+    with pytest.raises(ParseError) as exc:
+        parse_tree(bad)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("key", [
+    "(" * 5000 + "." + ".)" * 5000,  # left comb
+    "(." * 5000 + "." + ")" * 5000,  # right comb
+    "{" * 5000 + "." + ".}" * 5000,  # left comb, every node circled
+])
+def test_deep_keys_round_trip(key):
+    obj = parse_tree(key)
+    assert obj.size == 5000
+    assert render(obj) == key
+
+
+def validity_failure(tree, circled):
+    """The message of the first validity rule ``circled`` breaks, or None;
+    the smallest node with an uncircled parent is the one reported."""
+    n = tree.size
+    parent, children = trees.node_relations(tree)
+    if not set(circled) <= set(range(1, n + 1)):
+        return f"circled indices out of range 1..{n}"
+    if 1 not in circled:
+        return "leftmost node (index 1) must be circled"
+    if set(children[1]) & set(circled):
+        return "leftmost node must have no circled children"
+    bad = [c for c in circled if parent[c] is not None and parent[c] not in circled]
+    return f"circled node {min(bad)} has an uncircled parent" if bad else None
+
+
+def test_validity_reports_the_first_broken_rule():
+    rng = random.Random(11)
+    for _ in range(2000):
+        word = list(range(1, rng.randint(1, 14) + 1))
+        rng.shuffle(word)
+        tree = tree_of_perm(tuple(word))
+        circled = frozenset(i for i in range(0, tree.size + 2) if rng.random() < 0.6)
+        expected = validity_failure(tree, circled)
+        if expected is None:
+            assert BiLeveledTree(tree, circled).circled == circled
+        else:
+            with pytest.raises(ValidityError) as exc:
+                BiLeveledTree(tree, circled)
+            assert str(exc.value) == expected
+
+
+def test_validity_reports_the_smallest_uncircled_parent():
+    comb = right_comb(10)  # node i has right child i + 1
+    # nodes 4 and 10 both sit below uncircled parents; the set iterates 10 first
+    assert list(frozenset({1, 4, 10})) == [1, 10, 4]
+    with pytest.raises(ValidityError, match="^circled node 4 has an uncircled parent$"):
+        BiLeveledTree(comb, frozenset({1, 4, 10}))
+    # a circled child of node 1 is reported before either of them
+    with pytest.raises(ValidityError, match="^leftmost node must have no circled children$"):
+        BiLeveledTree(comb, frozenset({1, 2, 4, 10}))
 
 
 @given(tree_keys)
