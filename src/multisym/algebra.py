@@ -19,6 +19,7 @@ from .trees import (
     MAPS,
     BiLeveledTree,
     _standardize,
+    all_bileveled,
     beta_fibers,
     bileveled_of_perm,
     enumerate_family,
@@ -27,7 +28,6 @@ from .trees import (
     graft_onto_tree,
     is_coinvariant_shape,
     parse_key,
-    parse_tree,
     render,
     render_key,
     render_perm,
@@ -343,8 +343,8 @@ def coaction_monomial_transported(b: str) -> TensorCombo:
 
 def coinvariant_basis(n: int) -> list[str]:
     """Keys whose monomial elements the coaction fixes."""
-    return [key for key in enumerate_family("M", n)
-            if is_coinvariant_shape(parse_tree(key))]
+    return [key for key, b in zip(enumerate_family("M", n), all_bileveled(n))
+            if is_coinvariant_shape(b)]
 
 
 # ---------------------------------------------------------------------------

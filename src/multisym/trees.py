@@ -344,23 +344,47 @@ def all_trees(n: int) -> tuple[PlanarTree, ...]:
     return tuple(sorted(out, key=render))
 
 
+def _ideals(t: PlanarTree, offset: int) -> list[tuple[int, ...]]:
+    """Every upward-closed node set of ``t``: empty, or its root with one of
+    each subtree's, as in-order indices after ``offset``."""
+    if t.is_leaf:
+        return [()]
+    root = offset + t.left.size + 1
+    return [()] + [left + (root,) + right for left in _ideals(t.left, offset)
+                   for right in _ideals(t.right, root)]
+
+
+def _crowns(t: PlanarTree) -> list[tuple[int, ...]]:
+    """Every valid circled set of ``t``: the left spine down to node 1, no
+    child of node 1, and an upward-closed set of each other right subtree."""
+    root = t.left.size + 1
+    if t.left.is_leaf:
+        return [(root,)]
+    return [left + (root,) + right for left in _crowns(t.left)
+            for right in _ideals(t.right, root)]
+
+
 @lru_cache(maxsize=None)
-def all_bileveled(n: int) -> tuple[BiLeveledTree, ...]:
+def _bileveled(n: int) -> tuple[tuple[str, ...], tuple[BiLeveledTree, ...]]:
+    """The keys of M_n, sorted, and their trees in the same order."""
     if n < 1:
         raise ValueError("bi-leveled trees need at least one node")
-    out = []
+    keyed, circles = [], {}
     for tree in all_trees(n):
-        parent, children = node_relations(tree)
-        root = tree.left.size + 1
-        forbidden = {c for c in children[1] if c is not None}
-        for bits in range(1 << n):
-            circled = frozenset(i + 1 for i in range(n) if bits >> i & 1)
-            if 1 not in circled or circled & forbidden:
-                continue
-            if any(c != root and parent[c] not in circled for c in circled):
-                continue
-            out.append(BiLeveledTree(tree, circled))
-    return tuple(sorted(out, key=render))
+        for crown in _crowns(tree):
+            # the same circled set recurs across shapes: keep one copy
+            circled = circles.setdefault(crown, frozenset(crown))
+            b = BiLeveledTree(tree, circled)
+            keyed.append((render(b), b))
+    keyed.sort(key=lambda pair: pair[0])
+    keys, objs = zip(*keyed)
+    return keys, objs
+
+
+def all_bileveled(n: int) -> tuple[BiLeveledTree, ...]:
+    """The bi-leveled trees on n nodes, sorted by key (the order of
+    ``enumerate_family("M", n)``)."""
+    return _bileveled(n)[1]
 
 
 def enumerate_family(family: str, n: int) -> list[str]:
@@ -374,7 +398,7 @@ def enumerate_family(family: str, n: int) -> list[str]:
     if family == "M":
         if n == 0:
             raise ValueError("there is no bi-leveled tree on 0 nodes")
-        return [render(b) for b in all_bileveled(n)]
+        return list(_bileveled(n)[0])
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -383,11 +407,22 @@ def enumerate_family(family: str, n: int) -> list[str]:
 
 
 def tree_of_perm(word: tuple[int, ...]) -> PlanarTree:
-    """The unique tree whose node order the word extends (largest value at the root)."""
-    if not word:
-        return LEAF
-    i = word.index(max(word))
-    return PlanarTree(tree_of_perm(word[:i]), tree_of_perm(word[i + 1:]))
+    """The unique tree whose node order the word extends (largest value at the root).
+
+    One left-to-right pass: the stack holds the right spine built so far,
+    values decreasing, each with its finished left subtree; a letter takes
+    the smaller values it pops as its left subtree.
+    """
+    stack: list[tuple[int, PlanarTree]] = []
+    for a in word:
+        below = LEAF
+        while stack and stack[-1][0] < a:
+            below = PlanarTree(stack.pop()[1], below)
+        stack.append((a, below))
+    tree = LEAF
+    while stack:
+        tree = PlanarTree(stack.pop()[1], tree)
+    return tree
 
 
 def fiber_of_tree(t: PlanarTree) -> list[tuple[int, ...]]:

@@ -27,6 +27,7 @@ from multisym.algebra import (
 from multisym.trees import (
     bileveled_of_perm,
     enumerate_family,
+    is_coinvariant_shape,
     max_word,
     parse_perm,
     parse_tree,
@@ -284,6 +285,12 @@ def test_coinvariant_basis():
             assert coaction_monomial(key).terms == {(key, "."): 1}
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_coinvariant_basis_matches_the_filter_on_parsed_keys(n):
+    assert coinvariant_basis(n) == [key for key in enumerate_family("M", n)
+                                    if is_coinvariant_shape(parse_tree(key))]
+
+
 # --- theorem checkers -----------------------------------------------------------
 
 def test_hopf_module_axiom_small():
@@ -399,7 +406,7 @@ def test_mutating_an_answer_leaves_the_memo_intact(f, args):
     (coproduct_fund, ("M", "{..}")),
     (key_degree, ("M", "(..)")),
     (key_degree, ("S", "x")),
-], ids=repr)
+], ids=lambda v: v.__name__ if callable(v) else repr(v))
 def test_bad_keys_raise_on_every_call(f, args):
     for _ in range(2):
         with pytest.raises(ValueError):

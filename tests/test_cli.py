@@ -173,7 +173,6 @@ def test_bad_inputs_exit_two(capsys):
                   "--key", "{..}"],
                  ["convert", "--family", "S", "--from", "M", "--to", "M",
                   "--key", "zz"],
-                 ["map", "--op", "tau", "--input", ",".join(map(str, range(1, 1200)))],
                  ["map", "--op", "min", "--input", deep],
                  ["verify", "fibers", "--n-max", "-3"],
                  ["verify", "galois", "--n-max", "0"],
@@ -181,6 +180,15 @@ def test_bad_inputs_exit_two(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_tau_of_a_word_deeper_than_the_recursion_limit(capsys):
+    # an increasing word puts each letter above the ones before it
+    n = 1199
+    code, out, err = run(capsys, "map", "--op", "tau",
+                         "--input", ",".join(map(str, range(1, n + 1))))
+    assert (code, err) == (0, "")
+    assert out == "(" * n + "." + ".)" * n + "\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -195,6 +203,21 @@ def test_weak_order_past_its_size_limit_exits_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: weak order is limited to n <= 8, got n = 9\n"
+
+
+CIRCLED_COMB_10 = "{" * 10 + "." + ".}" * 10
+
+
+@pytest.mark.parametrize("argv", [
+    ["hasse", "--family", "M", "--n", "10"],
+    ["mobius", "--family", "M", "--n", "10", "--x", CIRCLED_COMB_10, "--y", CIRCLED_COMB_10],
+    ["convert", "--family", "M", "--from", "F", "--to", "M", "--key", CIRCLED_COMB_10],
+], ids=lambda argv: " ".join(argv[:5]))
+@pytest.mark.usefixtures("refuse_enumeration")
+def test_bileveled_order_past_its_size_limit_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: bi-leveled order is limited to n <= 9, got n = 10\n"
 
 
 def test_unknown_flags_exit_two(capsys):

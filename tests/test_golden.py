@@ -6,8 +6,10 @@ the command line before the key, map and poset code was consolidated (the
 two size-six certificate runs: before the certificates moved to bitmasks; the
 three ``hasse`` cases after them: before ``FinitePoset`` reduced the relation
 it is given; the last five: before the algebra's structure maps were
-memoised); a refactor must reproduce them exactly.  To regenerate after an intended
-output change, run ``PYTHONPATH=src python tests/test_golden.py``.
+memoised, and the five after them: before circled trees were enumerated
+without rejection); a refactor must reproduce them exactly.  To regenerate
+after an intended output change, run ``PYTHONPATH=src python
+tests/test_golden.py``.
 """
 
 import contextlib
@@ -62,6 +64,12 @@ COMMANDS = [
     ["coact", "--input", "{{.(..)}{.(.(..))}}", "--basis", "F"],
     ["coact", "--input", "{{.(..)}{.(.(..))}}", "--basis", "M"],
     ["act", "--left", "{{..}{.(..)}}", "--right", "((..)(..))"],
+    # the sweep workload's suites, and the key order of M_7 they rely on
+    ["enumerate", "--family", "M", "--n", "7"],
+    ["coinvariants", "--n", "7"],
+    ["verify", "fibers", "--n-max", "7"],
+    ["verify", "tamari-oracle", "--n-max", "7"],
+    ["verify", "dimensions", "--n-max", "8"],
 ]
 
 

@@ -272,6 +272,14 @@ def test_weak_order_refuses_sizes_past_its_masks():
             weak_order(n)
 
 
+@pytest.mark.usefixtures("refuse_enumeration")
+def test_bileveled_order_refuses_sizes_past_its_masks():
+    message = r"^bi-leveled order is limited to n <= 9, got n = 10$"
+    for build in (bileveled_order, lambda n: posets.poset_for("M", n)):
+        with pytest.raises(ValueError, match=message):
+            build(10)
+
+
 def test_weak_order_is_lattice():
     for n in (2, 3, 4, 5):
         assert weak_order(n).is_lattice()

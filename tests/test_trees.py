@@ -13,6 +13,7 @@ from multisym.trees import (
     ParseError,
     PlanarTree,
     ValidityError,
+    all_bileveled,
     all_trees,
     avoids_pinned,
     beta_fibers,
@@ -220,6 +221,45 @@ def test_enumeration_sorted_and_degree_zero():
     assert enumerate_family("Y", 0) == ["."]
 
 
+def brute_bileveled(n):
+    """Every (tree, circled set) on n nodes that passes the three validity
+    rules, found by filtering every set of in-order indices of every tree."""
+    out = []
+    for tree in all_trees(n):
+        parent, stack = {}, [(tree, 0, None)]
+        while stack:
+            t, offset, par = stack.pop()
+            if not t.is_leaf:
+                i = offset + t.left.size + 1
+                parent[i] = par
+                stack += [(t.left, offset, i), (t.right, i, i)]
+        for k in range(n + 1):
+            for circled in itertools.combinations(range(1, n + 1), k):
+                # node 1 circled, none of its children, every other circled
+                # node below a circled parent
+                if 1 in circled and all(parent[i] is None
+                                        or (parent[i] != 1 and parent[i] in circled)
+                                        for i in circled):
+                    out.append((tree, frozenset(circled)))
+    return out
+
+
+def key_of(tree, circled, offset=0):
+    if tree.is_leaf:
+        return "."
+    i = offset + tree.left.size + 1
+    opener, closer = "{}" if i in circled else "()"
+    return (opener + key_of(tree.left, circled, offset)
+            + key_of(tree.right, circled, i) + closer)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bileveled_enumeration_matches_a_brute_force(n):
+    expected = sorted(brute_bileveled(n), key=lambda pair: key_of(*pair))
+    assert [(b.tree, b.circled) for b in all_bileveled(n)] == expected
+    assert enumerate_family("M", n) == [key_of(*pair) for pair in expected]
+
+
 def test_enumeration_rejects_empty_circled_family():
     with pytest.raises(ValueError):
         enumerate_family("M", 0)
@@ -233,6 +273,25 @@ def test_tree_of_perm_examples():
     assert tree_of_perm(parse_perm("3412")) == shared
     assert render(shared) == "((..)((..).))"
     assert render(tree_of_perm((1,))) == "(..)"
+
+
+def recursive_tree_of_perm(word):
+    if not word:
+        return LEAF
+    i = word.index(max(word))
+    return PlanarTree(recursive_tree_of_perm(word[:i]),
+                      recursive_tree_of_perm(word[i + 1:]))
+
+
+def test_tree_of_perm_matches_the_recursive_definition():
+    words = [w for n in range(8) for w in itertools.permutations(range(1, n + 1))]
+    rng = random.Random(23)
+    for _ in range(1000):
+        word = list(range(1, rng.randint(8, 14) + 1))
+        rng.shuffle(word)
+        words.append(tuple(word))
+    for w in words:
+        assert tree_of_perm(w) == recursive_tree_of_perm(w)
 
 
 def test_word_is_linear_extension_of_its_tree():
