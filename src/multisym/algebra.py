@@ -239,36 +239,36 @@ def _coaction(b: str) -> tuple:
 # monomial basis
 
 
-def _is_unit(family: str, key: str) -> bool:
-    return key == UNIT_KEY[family]
+def _basis_row(family: str, key: str, basis: str) -> list[tuple[str, int]]:
+    """One key re-expressed in ``basis``: a fundamental key as the monomial
+    elements of its up-set, a monomial key as the fundamental elements of
+    its Möbius row; the unit as itself."""
+    if key == UNIT_KEY[family]:
+        return [(key, 1)]
+    poset = posets.poset_for(family, key_degree(family, key))
+    if basis == "M":
+        return [(upper, 1) for upper in poset.upset(key)]
+    return poset.mobius_row(key)
+
+
+def _convert(x: LinearCombo, basis: str) -> LinearCombo:
+    out: dict[str, int] = {}
+    for key, c in x.terms.items():
+        for y, d in _basis_row(x.family, key, basis):
+            out[y] = out.get(y, 0) + c * d
+    return LinearCombo(x.family, basis, out)
 
 
 def to_monomial(x: LinearCombo) -> LinearCombo:
     """Re-express a fundamental combination in the monomial basis."""
     _require(x.basis == "F", "to_monomial starts from the fundamental basis")
-    out: dict[str, int] = {}
-    for key, c in x.terms.items():
-        if _is_unit(x.family, key):
-            out[key] = out.get(key, 0) + c
-            continue
-        poset = posets.poset_for(x.family, key_degree(x.family, key))
-        for upper in poset.upset(key):
-            out[upper] = out.get(upper, 0) + c
-    return LinearCombo(x.family, "M", out)
+    return _convert(x, "M")
 
 
 def from_monomial(x: LinearCombo) -> LinearCombo:
     """Expand a monomial combination back into the fundamental basis."""
     _require(x.basis == "M", "from_monomial starts from the monomial basis")
-    out: dict[str, int] = {}
-    for key, c in x.terms.items():
-        if _is_unit(x.family, key):
-            out[key] = out.get(key, 0) + c
-            continue
-        poset = posets.poset_for(x.family, key_degree(x.family, key))
-        for upper in poset.upset(key):
-            out[upper] = out.get(upper, 0) + c * poset.mobius(key, upper)
-    return LinearCombo(x.family, "F", out)
+    return _convert(x, "F")
 
 
 def tensor_basis(t: TensorCombo, basis: str) -> TensorCombo:
@@ -277,18 +277,17 @@ def tensor_basis(t: TensorCombo, basis: str) -> TensorCombo:
     if (t.left_basis, t.right_basis) == (basis, basis):
         return t
     _require(t.left_basis == t.right_basis, "mixed-basis tensors are not produced")
-    convert = to_monomial if basis == "M" else from_monomial
-    sides: dict[tuple[str, str], list] = {}  # each factor key converted once
+    rows: dict[tuple[str, str], list] = {}  # each factor key converted once
 
-    def side(family, key):
-        if (family, key) not in sides:
-            sides[family, key] = convert(LinearCombo(family, t.left_basis, {key: 1})).items()
-        return sides[family, key]
+    def row(family, key):
+        if (family, key) not in rows:
+            rows[family, key] = _basis_row(family, key, basis)
+        return rows[family, key]
 
     out: dict[tuple[str, str], int] = {}
     for (left, right), c in t.terms.items():
-        rp = side(t.right_family, right)
-        for lk, lc in side(t.left_family, left):
+        rp = row(t.right_family, right)
+        for lk, lc in row(t.left_family, left):
             for rk, rc in rp:
                 pair = (lk, rk)
                 out[pair] = out.get(pair, 0) + c * lc * rc
@@ -307,7 +306,7 @@ def apply_linear_map(name: str, x: LinearCombo) -> LinearCombo:
     _require(x.basis == "F", "induced maps act on the fundamental basis")
     out: dict[str, int] = {}
     for key, c in x.terms.items():
-        if _is_unit(source, key):
+        if key == UNIT_KEY[source]:
             image = UNIT_KEY[target]
         else:
             image = render_key(target, func(parse_key(source, key)))

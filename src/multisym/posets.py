@@ -157,6 +157,10 @@ class FinitePoset:
             raise IncomparableError(f"{x!r} is not below {y!r}")
         return self._mobius_row(i).get(j, 0)
 
+    def mobius_row(self, x: str) -> list[tuple[str, int]]:
+        """The pairs ``(y, mu(x, y))`` with a nonzero value."""
+        return [(self.elements[j], mu) for j, mu in self._mobius_row(self.index[x]).items()]
+
     def _mobius_row(self, i: int) -> dict[int, int]:
         """``{j: mu(i, j)}`` over the j >= i with a nonzero value."""
         row = self._mobius.get(i)
@@ -227,15 +231,24 @@ class FinitePoset:
 MAX_WEAK_N = 8
 
 
+# Y_n keeps the same two tables: about 70 MB at n = 10 (16,796 elements) and
+# about 0.86 GB at n = 11 (58,786 elements)
+MAX_TAMARI_N = 10
+
+
 # M_n keeps the same two tables: about 165 MB at n = 9 (25,674 elements) and
 # about 3.3 GB at n = 10 (115,566 elements)
 MAX_BILEVELED_N = 9
 
 
+def _check_size(order: str, n: int, limit: int) -> None:
+    if n > limit:
+        raise ValueError(f"{order} is limited to n <= {limit}, got n = {n}")
+
+
 def check_weak_size(n: int) -> None:
     """Refuse a weak order too large for its dense masks, before any work."""
-    if n > MAX_WEAK_N:
-        raise ValueError(f"weak order is limited to n <= {MAX_WEAK_N}, got n = {n}")
+    _check_size("weak order", n, MAX_WEAK_N)
 
 
 @lru_cache(maxsize=None)
@@ -274,6 +287,7 @@ def tamari(n: int) -> FinitePoset:
     """Rotation order on Y_n; the left comb is minimal, the right comb maximal."""
     if n < 1:
         raise ValueError("rotation order needs n >= 1")
+    _check_size("rotation order", n, MAX_TAMARI_N)
     covers = set()
     for t in all_trees(n):
         for rotated in _rotations(t):
@@ -287,9 +301,7 @@ def bileveled_order(n: int) -> FinitePoset:
     circled sets by reverse inclusion."""
     if n < 1:
         raise ValueError("bi-leveled order needs n >= 1")
-    if n > MAX_BILEVELED_N:
-        raise ValueError(f"bi-leveled order is limited to n <= {MAX_BILEVELED_N}, "
-                         f"got n = {n}")
+    _check_size("bi-leveled order", n, MAX_BILEVELED_N)
     tam = tamari(n)
     shape = {t: tam.index[render(t)] for t in all_trees(n)}
     by_shape = [[] for _ in tam.elements]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 
 class ParseError(ValueError):
@@ -446,28 +447,32 @@ def fiber_of_tree(t: PlanarTree) -> list[tuple[int, ...]]:
     return sorted(extensions(t, tuple(range(1, t.size + 1))))
 
 
+def _word(t: PlanarTree, low: int, left_low: bool) -> tuple[int, ...]:
+    """A word of ``t`` on the letters ``low``, ``low + 1``, ...: each node takes
+    the top letter of its subtree's block, and its left subtree the low part
+    of the rest if ``left_low``, else the high part."""
+    word, stack = [0] * t.size, [(t, 0, low)]
+    while stack:
+        t, pos, low = stack.pop()
+        if t.is_leaf:
+            continue
+        k, rest = t.left.size, t.size - 1
+        word[pos + k] = low + rest
+        if left_low:
+            stack += ((t.left, pos, low), (t.right, pos + k + 1, low + k))
+        else:
+            stack += ((t.left, pos, low + rest - k), (t.right, pos + k + 1, low))
+    return tuple(word)
+
+
 def min_word(t: PlanarTree) -> tuple[int, ...]:
     """The smallest (231-avoiding) word mapping to ``t``: left subtrees take low letters."""
-
-    def build(t, labels):
-        if t.is_leaf:
-            return ()
-        k = t.left.size
-        return build(t.left, labels[:k]) + (labels[-1],) + build(t.right, labels[k:-1])
-
-    return build(t, tuple(range(1, t.size + 1)))
+    return _word(t, 1, True)
 
 
 def max_word(t: PlanarTree) -> tuple[int, ...]:
     """The largest (132-avoiding) word mapping to ``t``: left subtrees take high letters."""
-
-    def build(t, labels):
-        if t.is_leaf:
-            return ()
-        k = t.left.size
-        return build(t.left, labels[-1 - k:-1]) + (labels[-1],) + build(t.right, labels[:-1 - k])
-
-    return build(t, tuple(range(1, t.size + 1)))
+    return _word(t, 1, False)
 
 
 def bileveled_of_perm(word: tuple[int, ...]) -> BiLeveledTree:
@@ -483,13 +488,14 @@ def strip_circles(b: BiLeveledTree) -> PlanarTree:
 
 
 @lru_cache(maxsize=None)
-def beta_fibers(n: int) -> dict[str, tuple[str, ...]]:
-    """Group the words of S_n by their bi-leveled image, keys and words canonical."""
+def beta_fibers(n: int) -> MappingProxyType:
+    """Group the words of S_n by their bi-leveled image, keys and words
+    canonical; the mapping is shared between callers, so it is read-only."""
     fibers: dict[str, list[str]] = {}
     for word in itertools.permutations(range(1, n + 1)):
         key = render(bileveled_of_perm(word))
         fibers.setdefault(key, []).append(render_perm(word))
-    return {key: tuple(sorted(words)) for key, words in fibers.items()}
+    return MappingProxyType({key: tuple(sorted(words)) for key, words in fibers.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -640,34 +646,22 @@ def graft_onto_tree(splitting: Splitting, base: PlanarTree) -> BiLeveledTree:
 
 def right_graft(b: BiLeveledTree, s: PlanarTree) -> BiLeveledTree:
     """Attach ``s``, uncircled, at the rightmost leaf of ``b``."""
-
-    def attach(t):
-        if t.is_leaf:
-            return s
-        return PlanarTree(t.left, attach(t.right))
-
-    return BiLeveledTree(attach(b.tree), b.circled)
+    return BiLeveledTree(graft((LEAF,) * b.size + (s,), b.tree), b.circled)
 
 
 def right_cuts(b: BiLeveledTree) -> list[tuple[BiLeveledTree, PlanarTree]]:
-    """All pairs (b', s) with ``right_graft(b', s) == b``, smallest cut first."""
-    cuts = [(b, LEAF)]
-    spine, node, start = [], b.tree, 0
-    while not node.is_leaf:
-        root = start + node.left.size + 1
-        spine.append((node, start))
-        node, start = node.right, root
+    """All pairs (b', s) with ``right_graft(b', s) == b``, smallest cut first.
+
+    Each cut takes off the subtree of an uncircled right-spine node, from
+    the deepest one up (the crown is upward closed, so nothing below such a
+    node is circled); the cut runs along the leaf just after its parent.
+    """
+    cuts, spine = [(b, LEAF)], right_spine(b.tree)
     for depth in range(len(spine) - 1, 0, -1):
-        sub, sub_start = spine[depth]
-        if any(sub_start < c <= sub_start + sub.size for c in b.circled):
+        if spine[depth] in b.circled:
             break
-
-        def truncate(t, d):
-            if d == depth:
-                return LEAF
-            return PlanarTree(t.left, truncate(t.right, d + 1))
-
-        cuts.append((BiLeveledTree(truncate(b.tree, 0), b.circled), sub))
+        rest, sub = _split_once(b.tree, spine[depth - 1] + 1)
+        cuts.append((BiLeveledTree(rest, b.circled), sub))
     return cuts
 
 
@@ -675,16 +669,20 @@ def right_cuts(b: BiLeveledTree) -> list[tuple[BiLeveledTree, PlanarTree]]:
 # sections of the bi-leveled projection
 
 
-def _relabel(word: tuple[int, ...], letters: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(letters[a - 1] for a in word)
-
-
-def _interleave(u, vs):
-    out = []
-    for a, v in zip(u, vs):
-        out.append(a)
-        out.extend(v)
-    return tuple(out)
+def _fiber_word(b: BiLeveledTree, section: bool) -> tuple[int, ...]:
+    """The base's minimal word on the top letters, each base letter followed
+    by the word of the tree hanging after it on a block of low letters:
+    minimal words on blocks from the left, or for the ``section`` maximal
+    words on blocks from the right (empty trees take empty blocks)."""
+    dec = forest_decomposition(b)
+    free = b.size - dec.base.size  # letters below the base's
+    word, used = [], 0
+    for a, t in zip(_word(dec.base, free + 1, True), dec.hanging):
+        low = free - used - t.size + 1 if section else used + 1
+        used += t.size
+        word.append(a)
+        word += _word(t, low, not section)
+    return tuple(word)
 
 
 def section_word(b: BiLeveledTree) -> tuple[int, ...]:
@@ -694,31 +692,13 @@ def section_word(b: BiLeveledTree) -> tuple[int, ...]:
     maximal words on letter blocks assigned bottom-up from the right
     (empty trees contribute empty blocks).
     """
-    dec = forest_decomposition(b)
-    n, p = b.size, dec.base.size
-    u = _relabel(min_word(dec.base), tuple(range(n - p + 1, n + 1)))
-    blocks, next_letter = [None] * p, 1
-    for i in range(p - 1, -1, -1):
-        size = dec.hanging[i].size
-        blocks[i] = tuple(range(next_letter, next_letter + size))
-        next_letter += size
-    vs = [_relabel(max_word(dec.hanging[i]), blocks[i]) for i in range(p)]
-    return _interleave(u, vs)
+    return _fiber_word(b, True)
 
 
 def fiber_min_word(b: BiLeveledTree) -> tuple[int, ...]:
     """The smallest word in the fiber of ``b``: minimal words everywhere,
     hanging blocks assigned left to right, base letters on top."""
-    dec = forest_decomposition(b)
-    n, p = b.size, dec.base.size
-    u = _relabel(min_word(dec.base), tuple(range(n - p + 1, n + 1)))
-    vs, next_letter = [], 1
-    for i in range(p):
-        size = dec.hanging[i].size
-        letters = tuple(range(next_letter, next_letter + size))
-        next_letter += size
-        vs.append(_relabel(min_word(dec.hanging[i]), letters))
-    return _interleave(u, vs)
+    return _fiber_word(b, False)
 
 
 _PINNED = (

@@ -167,13 +167,15 @@ def test_bad_inputs_exit_two(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "has circled nodes; expected a plain tree" in err
     # no conversion to run: the key is still checked; inputs deeper than the
-    # recursion limit and verify bounds that would check nothing are refused
-    deep = "(" * 1500 + ".." + ")" + ".)" * 1499
+    # recursion limit of a recursive routine (here the forest decomposition
+    # of the fully circled left comb) and verify bounds that would check
+    # nothing are refused
+    deep = "{" * 1500 + ".." + "}" + ".}" * 1499
     for argv in (["convert", "--family", "Y", "--from", "F", "--to", "F",
                   "--key", "{..}"],
                  ["convert", "--family", "S", "--from", "M", "--to", "M",
                   "--key", "zz"],
-                 ["map", "--op", "min", "--input", deep],
+                 ["map", "--op", "Mm", "--input", deep],
                  ["verify", "fibers", "--n-max", "-3"],
                  ["verify", "galois", "--n-max", "0"],
                  ["verify", "hopf-module", "--s-max", "-1"]):
@@ -189,6 +191,18 @@ def test_tau_of_a_word_deeper_than_the_recursion_limit(capsys):
                          "--input", ",".join(map(str, range(1, n + 1))))
     assert (code, err) == (0, "")
     assert out == "(" * n + "." + ".)" * n + "\n"
+
+
+@pytest.mark.parametrize("op, tree, word", [
+    ("min", "(" * 1500 + ".." + ")" + ".)" * 1499, range(1, 1501)),
+    ("max", "(." * 1500 + "." + ")" * 1500, range(1500, 0, -1)),
+], ids=["min of the left comb", "max of the right comb"])
+def test_min_and_max_words_of_combs_deeper_than_the_recursion_limit(capsys, op, tree, word):
+    # the left comb's minimal word and the right comb's maximal word are
+    # the increasing and the decreasing word
+    code, out, err = run(capsys, "map", "--op", op, "--input", tree)
+    assert (code, err) == (0, "")
+    assert out == ",".join(map(str, word)) + "\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -218,6 +232,22 @@ def test_bileveled_order_past_its_size_limit_exits_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: bi-leveled order is limited to n <= 9, got n = 10\n"
+
+
+TREE_13 = "(" * 13 + "." + ".)" * 13
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["mobius", "--family", "Y", "--n", "13", "--x", TREE_13, "--y", TREE_13], 13),
+    (["hasse", "--family", "Y", "--n", "13"], 13),
+    (["hasse", "--family", "Y", "--n", "11"], 11),
+    (["convert", "--family", "Y", "--from", "F", "--to", "M", "--key", TREE_13], 13),
+], ids=["mobius n=13", "hasse n=13", "hasse n=11", "convert n=13"])
+@pytest.mark.usefixtures("refuse_enumeration")
+def test_rotation_order_past_its_size_limit_exits_two(capsys, argv, n):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: rotation order is limited to n <= 10, got n = {n}\n"
 
 
 def test_unknown_flags_exit_two(capsys):

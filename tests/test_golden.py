@@ -2,14 +2,15 @@
 suite at its default bound.
 
 The expected stdout and exit codes in ``golden/cli.json`` were captured from
-the command line before the key, map and poset code was consolidated (the
-two size-six certificate runs: before the certificates moved to bitmasks; the
-three ``hasse`` cases after them: before ``FinitePoset`` reduced the relation
-it is given; the last five: before the algebra's structure maps were
-memoised, and the five after them: before circled trees were enumerated
-without rejection); a refactor must reproduce them exactly.  To regenerate
-after an intended output change, run ``PYTHONPATH=src python
-tests/test_golden.py``.
+the command line before the key, map and poset code was consolidated, and
+each later group before the change it guards: the two size-six certificate
+runs before the certificates moved to bitmasks, the three ``hasse`` cases
+before ``FinitePoset`` reduced the relation it is given, the next five
+before the algebra's structure maps were memoised, the five after them
+before circled trees were enumerated without rejection, and the last nine
+before the fiber words, right cuts and basis conversions were each written
+once.  A refactor must reproduce them exactly.  To regenerate after an
+intended output change, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
@@ -70,6 +71,16 @@ COMMANDS = [
     ["verify", "fibers", "--n-max", "7"],
     ["verify", "tamari-oracle", "--n-max", "7"],
     ["verify", "dimensions", "--n-max", "8"],
+    # the fiber words, right cuts and basis conversions on larger keys
+    ["map", "--op", "mm", "--input", "{{{{..}(..)}{{(..)(..)}{(..).}}}{..}}"],
+    ["map", "--op", "Mm", "--input", "{{{{..}(..)}{{(..)(..)}{(..).}}}{..}}"],
+    ["map", "--op", "min", "--input", "((((..)(..))(((..)(..))((..).)))(..))"],
+    ["map", "--op", "max", "--input", "((((..)(..))(((..)(..))((..).)))(..))"],
+    ["coact", "--input", "{{..}{(..)(.(.(..)))}}", "--basis", "M"],
+    ["convert", "--family", "S", "--from", "F", "--to", "M", "--key", "1324"],
+    ["convert", "--family", "S", "--from", "M", "--to", "F", "--key", "1324"],
+    ["convert", "--family", "M", "--from", "F", "--to", "M", "--key", "{{{..}{..}}(..)}"],
+    ["convert", "--family", "M", "--from", "M", "--to", "F", "--key", "{{{..}{..}}(..)}"],
 ]
 
 

@@ -1,0 +1,304 @@
+"""Differential tests for the fiber words, the right cuts and the change of
+basis, against reference forms written here.
+
+Trees are nested pairs here (``None`` for a leaf, ``(left, right)`` for a
+node); the only things taken from ``trees`` are the tree types, the leaf
+and the routines under test.  Every tree and circled tree up to seven nodes is
+checked, and so are seeded random words of 8 to 30 letters.
+"""
+
+import random
+
+import pytest
+
+from multisym import algebra, posets
+from multisym.trees import (
+    LEAF,
+    BiLeveledTree,
+    PlanarTree,
+    fiber_min_word,
+    max_word,
+    min_word,
+    right_cuts,
+    section_word,
+)
+
+N_MAX = 7
+
+
+def size(t):
+    return 0 if t is None else size(t[0]) + size(t[1]) + 1
+
+
+def shapes(n):
+    if n == 0:
+        return [None]
+    return [(left, right) for k in range(n)
+            for left in shapes(k) for right in shapes(n - 1 - k)]
+
+
+def planar(t):
+    return LEAF if t is None else PlanarTree(planar(t[0]), planar(t[1]))
+
+
+def nested(t):
+    return None if t.is_leaf else (nested(t.left), nested(t.right))
+
+
+def parents(t, offset=0, parent=None, out=None):
+    """In-order node index -> parent index (None at the root)."""
+    out = {} if out is None else out
+    if t is not None:
+        root = offset + size(t[0]) + 1
+        out[root] = parent
+        parents(t[0], offset, root, out)
+        parents(t[1], root, root, out)
+    return out
+
+
+def crowns(t):
+    """Every circled set of ``t`` that passes the three validity rules."""
+    up = parents(t)
+    n = len(up)
+    out = []
+    for mask in range(1 << n):
+        circled = {i for i in range(1, n + 1) if mask >> (i - 1) & 1}
+        if (1 in circled and not any(up[i] == 1 for i in circled)
+                and all(up[i] is None or up[i] in circled for i in circled)):
+            out.append(frozenset(circled))
+    return out
+
+
+def tree_of_word(word):
+    """The largest letter at the root, the letters before and after it below."""
+    if not word:
+        return None
+    i = word.index(max(word))
+    return (tree_of_word(word[:i]), tree_of_word(word[i + 1:]))
+
+
+def random_words():
+    rng = random.Random(8801)
+    for _ in range(150):
+        word = list(range(1, rng.randint(8, 30) + 1))
+        rng.shuffle(word)
+        yield tuple(word)
+
+
+def random_circled():
+    """The bi-leveled image of each random word: its tree, with the letters
+    at least the first one circled."""
+    for word in random_words():
+        yield tree_of_word(word), frozenset(
+            i + 1 for i, a in enumerate(word) if a >= word[0])
+
+
+# ---------------------------------------------------------------------------
+# reference forms
+
+
+def ref_min_word(t, labels=None):
+    """Left subtrees take low letters, the root the top one."""
+    labels = tuple(range(1, size(t) + 1)) if labels is None else labels
+    if t is None:
+        return ()
+    k = size(t[0])
+    return ref_min_word(t[0], labels[:k]) + (labels[-1],) + ref_min_word(t[1], labels[k:-1])
+
+
+def ref_max_word(t, labels=None):
+    """Left subtrees take high letters, the root the top one."""
+    labels = tuple(range(1, size(t) + 1)) if labels is None else labels
+    if t is None:
+        return ()
+    k = size(t[0])
+    return (ref_max_word(t[0], labels[-1 - k:-1]) + (labels[-1],)
+            + ref_max_word(t[1], labels[:-1 - k]))
+
+
+def ref_decompose(t, circled):
+    """The circled base and the trees hanging above its leaves 2, 3, ..."""
+    slots = []
+
+    def induced(t, offset):
+        root = offset + size(t[0]) + 1
+        sides = []
+        for sub, sub_offset in ((t[0], offset), (t[1], root)):
+            if sub is not None and sub_offset + size(sub[0]) + 1 in circled:
+                sides.append(induced(sub, sub_offset))
+            else:
+                slots.append(sub)
+                sides.append(None)
+        return tuple(sides)
+
+    base = induced(t, 0)
+    return base, slots[1:]
+
+
+def relabel(word, letters):
+    return tuple(letters[a - 1] for a in word)
+
+
+def interleave(u, vs):
+    out = []
+    for a, v in zip(u, vs):
+        out.append(a)
+        out.extend(v)
+    return tuple(out)
+
+
+def ref_fiber_word(t, circled, section):
+    """The base's minimal word on the top letters, interleaved with the
+    hanging trees' words: minimal words on blocks from the left, or for the
+    section maximal words on blocks from the right."""
+    base, hanging = ref_decompose(t, circled)
+    n, p = size(t), size(base)
+    u = relabel(ref_min_word(base), tuple(range(n - p + 1, n + 1)))
+    order = range(p - 1, -1, -1) if section else range(p)
+    blocks, next_letter = [None] * p, 1
+    for i in order:
+        blocks[i] = tuple(range(next_letter, next_letter + size(hanging[i])))
+        next_letter += size(hanging[i])
+    word = ref_max_word if section else ref_min_word
+    return interleave(u, [relabel(word(h), block) for h, block in zip(hanging, blocks)])
+
+
+def ref_right_cuts(t, circled):
+    """The whole tree with an empty cut, then, from the deepest right-spine
+    subtree up to the root's right child and while the subtree holds no
+    circled node, the tree with that subtree replaced by a leaf."""
+    cuts = [(t, None)]
+    spine, node, start = [], t, 0
+    while node is not None:
+        spine.append((node, start))
+        start += size(node[0]) + 1
+        node = node[1]
+    for depth in range(len(spine) - 1, 0, -1):
+        sub, sub_start = spine[depth]
+        if any(sub_start < c <= sub_start + size(sub) for c in circled):
+            break
+
+        def truncate(node, d):
+            return None if d == depth else (node[0], truncate(node[1], d + 1))
+
+        cuts.append((truncate(t, 0), sub))
+    return cuts
+
+
+# ---------------------------------------------------------------------------
+# the routines against the references
+
+
+@pytest.mark.parametrize("n", range(N_MAX + 1))
+def test_min_and_max_words_match_the_recursive_definitions(n):
+    for t in shapes(n):
+        assert min_word(planar(t)) == ref_min_word(t)
+        assert max_word(planar(t)) == ref_max_word(t)
+
+
+def test_min_and_max_words_match_on_random_trees():
+    for t, _ in random_circled():
+        assert min_word(planar(t)) == ref_min_word(t)
+        assert max_word(planar(t)) == ref_max_word(t)
+
+
+def circled_trees(n):
+    return [(t, circled) for t in shapes(n) for circled in crowns(t)]
+
+
+def test_every_circled_tree_is_enumerated():
+    # the counts of M_1..M_7
+    assert [len(circled_trees(n)) for n in range(1, N_MAX + 1)] == [
+        1, 2, 6, 21, 80, 322, 1348]
+
+
+def check_fiber_words(t, circled):
+    b = BiLeveledTree(planar(t), circled)
+    assert fiber_min_word(b) == ref_fiber_word(t, circled, section=False)
+    assert section_word(b) == ref_fiber_word(t, circled, section=True)
+
+
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_fiber_words_match_the_relabel_and_interleave_form(n):
+    for t, circled in circled_trees(n):
+        check_fiber_words(t, circled)
+
+
+def test_fiber_words_match_on_random_circled_trees():
+    for t, circled in random_circled():
+        check_fiber_words(t, circled)
+
+
+def check_right_cuts(t, circled):
+    got = [(nested(smaller.tree), smaller.circled, nested(s))
+           for smaller, s in right_cuts(BiLeveledTree(planar(t), circled))]
+    assert got == [(rest, circled, sub) for rest, sub in ref_right_cuts(t, circled)]
+
+
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_right_cuts_match_truncating_the_right_spine(n):
+    for t, circled in circled_trees(n):
+        check_right_cuts(t, circled)
+
+
+def test_right_cuts_match_on_random_circled_trees():
+    cut = 0
+    for t, circled in random_circled():
+        check_right_cuts(t, circled)
+        cut += len(ref_right_cuts(t, circled)) > 1
+    assert cut  # some random tree has an uncircled right-spine node
+
+
+# ---------------------------------------------------------------------------
+# the change of basis against the per-pair Möbius loop
+
+
+UNITS = {"S": "", "Y": ".", "M": "1"}
+
+
+def ref_row(family, key, basis):
+    """A key's expansion: its up-set to M, its Möbius values pair by pair to F."""
+    if key == UNITS[family]:
+        return {key: 1}
+    n = len(key) if family == "S" else key.count(".") - 1
+    poset = posets.poset_for(family, n)
+    if basis == "M":
+        return {upper: 1 for upper in poset.upset(key)}
+    return {upper: poset.mobius(key, upper) for upper in poset.upset(key)
+            if poset.mobius(key, upper)}
+
+
+@pytest.mark.parametrize("family", ["S", "Y", "M"])
+def test_conversions_match_the_per_pair_loop(family):
+    keys = [UNITS[family]] + [key for n in range(1, 6)
+                              for key in posets.poset_for(family, n).elements]
+    for key in keys:
+        got = algebra.from_monomial(algebra.LinearCombo(family, "M", {key: 1}))
+        assert got.terms == ref_row(family, key, "F"), key
+        got = algebra.to_monomial(algebra.LinearCombo(family, "F", {key: 1}))
+        assert got.terms == ref_row(family, key, "M"), key
+    # a combination of all of them at once, with mixed signs
+    combo = {key: (-1) ** i * (i + 1) for i, key in enumerate(keys)}
+    expected = {}
+    for key, c in combo.items():
+        for y, d in ref_row(family, key, "F").items():
+            expected[y] = expected.get(y, 0) + c * d
+    got = algebra.from_monomial(algebra.LinearCombo(family, "M", combo))
+    assert got.terms == {y: v for y, v in expected.items() if v}
+
+
+@pytest.mark.parametrize("basis", ["F", "M"])
+def test_tensor_conversion_is_the_product_of_the_factor_rows(basis):
+    # the coaction in the other basis converted into ``basis``
+    for n in range(1, 5):
+        for key in posets.poset_for("M", n).elements:
+            tensor = algebra.coaction(key)
+            if basis == "F":
+                tensor = algebra.tensor_basis(tensor, "M")
+            expected = {}
+            for (left, right), c in tensor.terms.items():
+                for lk, lc in ref_row("M", left, basis).items():
+                    for rk, rc in ref_row("Y", right, basis).items():
+                        expected[lk, rk] = expected.get((lk, rk), 0) + c * lc * rc
+            got = algebra.tensor_basis(tensor, basis)
+            assert got.terms == {pair: v for pair, v in expected.items() if v}, key

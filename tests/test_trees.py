@@ -356,6 +356,21 @@ def test_beta_fibers_partition():
         assert sorted(fibers) == enumerate_family("M", n)
 
 
+def test_beta_fibers_cannot_be_mutated_by_a_caller():
+    from multisym import verify
+
+    fibers = beta_fibers(4)
+    key = next(iter(fibers))
+    with pytest.raises(TypeError):
+        fibers[key] = ()
+    with pytest.raises(TypeError):
+        del fibers[key]
+    with pytest.raises(AttributeError):  # a read-only mapping has no pop
+        fibers.pop(key)
+    assert beta_fibers(4) is fibers and len(fibers) == 21
+    assert verify.suite_fibers(4).summary_line() == "suite=fibers n_max=4 status=pass"
+
+
 # --- forest decomposition ---------------------------------------------------
 
 def test_decomposition_worked_example():
