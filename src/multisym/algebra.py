@@ -9,30 +9,30 @@ which never occurs as an enumerable key.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import posets
 from .trees import (
     MAPS,
-    BiLeveledTree,
+    _interleave,
     _standardize,
     all_bileveled,
     beta_fibers,
     bileveled_of_perm,
     enumerate_family,
-    graft,
-    graft_onto_bileveled,
-    graft_onto_tree,
     is_coinvariant_shape,
+    min_word,
     parse_key,
     render,
     render_key,
     render_perm,
     right_cuts,
-    splittings,
+    section_word,
     tree_of_perm,
 )
 
@@ -110,9 +110,32 @@ def tensor_to_json(t: TensorCombo) -> str:
 # ---------------------------------------------------------------------------
 # fundamental-basis structure maps
 #
+# Every key stands for one word of its fiber: a word for itself, a tree for
+# its minimal word, a circled tree for its section word.  Products are the
+# shifted shuffles of these words and coproducts their deconcatenations, each
+# word projected back to a key of the family; the projections depend only on
+# the relative order of the letters, and carry the shuffle and the
+# deconcatenation to grafting and cutting (Loday & Ronco 1998 for trees).
 # Each map is a pure function of its string keys, memoised on them as a tuple
 # of (key, coefficient) items with interned keys; the public function checks
 # its arguments first and builds a fresh combination on every call.
+
+_WORD = {"S": lambda w: w, "Y": min_word, "M": section_word}
+_PROJECT = {
+    "S": lambda w: render_perm(_standardize(w)),
+    "Y": lambda w: render(tree_of_perm(w)),
+    "M": lambda w: render(bileveled_of_perm(w)),
+}
+
+
+def _word(family: str, key: str) -> tuple[int, ...]:
+    return _WORD[family](parse_key(family, key))
+
+
+def _shuffles(u: tuple[int, ...], v: tuple[int, ...]):
+    """Every interleaving of ``u`` with ``v`` raised above it, ``u``'s cuts in lex order."""
+    for cuts in itertools.combinations_with_replacement(range(len(u) + 1), len(v)):
+        yield _interleave(u, cuts, v)
 
 
 def _frozen(terms: dict) -> tuple:
@@ -130,25 +153,8 @@ def product_fund(family: str, x: str, y: str) -> LinearCombo:
 
 @lru_cache(maxsize=None)
 def _product_fund(family: str, x: str, y: str) -> tuple:
-    u, v = parse_key(family, x), parse_key(family, y)
-    terms: dict[str, int] = {}
-    if family == "S":
-        q = len(u)
-        shifted = tuple(a + q for a in v)
-        for sp in splittings(tree_of_perm(u), len(v)):
-            word, pos = [], 0
-            for i, size in enumerate(sp.piece_sizes):
-                word.extend(u[pos:pos + size])
-                pos += size
-                if i < len(shifted):
-                    word.append(shifted[i])
-            key = render_perm(tuple(word))
-            terms[key] = terms.get(key, 0) + 1
-    else:
-        for sp in splittings(u, v.size):
-            key = render(graft(sp, v))
-            terms[key] = terms.get(key, 0) + 1
-    return _frozen(terms)
+    project = _PROJECT[family]
+    return _frozen(Counter(map(project, _shuffles(_word(family, x), _word(family, y)))))
 
 
 def coproduct_fund(family: str, x: str) -> TensorCombo:
@@ -159,18 +165,8 @@ def coproduct_fund(family: str, x: str) -> TensorCombo:
 
 @lru_cache(maxsize=None)
 def _coproduct_fund(family: str, x: str) -> tuple:
-    obj = parse_key(family, x)
-    terms: dict[tuple[str, str], int] = {}
-    if family == "S":
-        for k in range(len(obj) + 1):
-            pair = (render_perm(_standardize(obj[:k])),
-                    render_perm(_standardize(obj[k:])))
-            terms[pair] = terms.get(pair, 0) + 1
-    else:
-        for sp in splittings(obj, 1):
-            pair = (render(sp.pieces[0]), render(sp.pieces[1]))
-            terms[pair] = terms.get(pair, 0) + 1
-    return _frozen(terms)
+    w, project = _word(family, x), _PROJECT[family]
+    return _frozen(Counter((project(w[:k]), project(w[k:])) for k in range(len(w) + 1)))
 
 
 def product_msym(x: str, y: str) -> LinearCombo:
@@ -183,16 +179,13 @@ def product_msym(x: str, y: str) -> LinearCombo:
 
 @lru_cache(maxsize=None)
 def _product_msym(x: str, y: str) -> tuple:
-    if x == UNIT_KEY["M"]:
-        return _frozen({y: 1})
-    if y == UNIT_KEY["M"]:
-        return _frozen({x: 1})
-    b, s = parse_key("M", x), parse_key("M", y)
-    terms: dict[str, int] = {}
-    for sp in splittings(b, s.size):
-        key = render(graft_onto_bileveled(sp, s))
-        terms[key] = terms.get(key, 0) + 1
-    return _frozen(terms)
+    unit = UNIT_KEY["M"]
+    if unit in (x, y):
+        other = y if x == unit else x
+        if other != unit:
+            parse_key("M", other)
+        return _frozen({other: 1})
+    return _frozen(Counter(map(_PROJECT["M"], _shuffles(_word("M", x), _word("M", y)))))
 
 
 def action_ssym(w: str, s: str) -> LinearCombo:
@@ -210,12 +203,12 @@ def action_ysym(b: str, s: str) -> LinearCombo:
 
 @lru_cache(maxsize=None)
 def _action_ysym(b: str, s: str) -> tuple:
-    obj, base = parse_key("M", b), parse_key("Y", s)
-    terms: dict[str, int] = {}
-    for sp in splittings(obj, base.size, restricted=True):
-        key = render(graft_onto_tree(sp, base))
-        terms[key] = terms.get(key, 0) + 1
-    return _frozen(terms)
+    # the restricted splittings keep a letter of the circled key first, so
+    # it stays the least circled letter and every node of the tree is circled
+    u = _word("M", b)
+    n = len(u)
+    return _frozen(Counter(_PROJECT["M"](w) for w in _shuffles(u, _word("Y", s))
+                           if w[0] <= n))
 
 
 def coaction(b: str) -> TensorCombo:
@@ -226,13 +219,9 @@ def coaction(b: str) -> TensorCombo:
 
 @lru_cache(maxsize=None)
 def _coaction(b: str) -> tuple:
-    obj = parse_key("M", b)
-    terms: dict[tuple[str, str], int] = {}
-    for sp in splittings(obj, 1, restricted=True):
-        left = BiLeveledTree(sp.pieces[0], sp.piece_circles()[0])
-        pair = (render(left), render(sp.pieces[1]))
-        terms[pair] = terms.get(pair, 0) + 1
-    return _frozen(terms)
+    w = _word("M", b)
+    return _frozen(Counter((_PROJECT["M"](w[:k]), _PROJECT["Y"](w[k:]))
+                           for k in range(1, len(w) + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,21 +12,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .trees import (
+    MAPS,
     BiLeveledTree,
     PlanarTree,
     all_bileveled,
     all_trees,
     beta_fibers,
-    bileveled_of_perm,
     enumerate_family,
     fiber_min_word,
-    max_word,
+    parse_key,
     parse_perm,
     parse_tree,
     render,
+    render_key,
     render_perm,
-    section_word,
-    tree_of_perm,
 )
 
 
@@ -336,6 +335,7 @@ def fiber_interval(n: int, b: BiLeveledTree | str) -> tuple[str, str]:
     The fiber must be an interval of the weak order, and its least word must
     match the closed-form minimal word; otherwise ``CertificationError``.
     """
+    check_weak_size(n)
     key = b if isinstance(b, str) else render(b)
     obj = parse_tree(key)
     fiber = beta_fibers(n).get(key)
@@ -526,17 +526,21 @@ def check_interval_retract(pair: PosetMapPair) -> RetractReport:
 # ready-made pairs
 
 
+def _section_pair(P: FinitePoset, Q: FinitePoset, forward: str, backward: str) -> PosetMapPair:
+    """The maps ``forward`` from ``P`` to ``Q`` and ``backward`` from ``Q`` to
+    ``P``, named as in ``MAPS``, tabulated on their elements."""
+    def table(op, keys):
+        source, target, func = MAPS[op]
+        return {k: render_key(target, func(parse_key(source, k))) for k in keys}
+
+    return PosetMapPair(P, Q, table(forward, P.elements), table(backward, Q.elements))
+
+
 def tree_section_pair(n: int) -> PosetMapPair:
     """Weak order onto the rotation order via the tree map, back via maximal words."""
-    P, Q = weak_order(n), tamari(n)
-    forward = {w: render(tree_of_perm(parse_perm(w))) for w in P.elements}
-    backward = {t: render_perm(max_word(parse_tree(t))) for t in Q.elements}
-    return PosetMapPair(P, Q, forward, backward)
+    return _section_pair(weak_order(n), tamari(n), "tau", "max")
 
 
 def bileveled_section_pair(n: int) -> PosetMapPair:
     """Weak order onto the bi-leveled order, back via the section word."""
-    P, Q = weak_order(n), bileveled_order(n)
-    forward = {w: render(bileveled_of_perm(parse_perm(w))) for w in P.elements}
-    backward = {t: render_perm(section_word(parse_tree(t))) for t in Q.elements}
-    return PosetMapPair(P, Q, forward, backward)
+    return _section_pair(weak_order(n), bileveled_order(n), "beta", "Mm")

@@ -503,26 +503,31 @@ def beta_fibers(n: int) -> MappingProxyType:
 
 
 def forest_decomposition(b: BiLeveledTree) -> ForestDecomposition:
-    """Split ``b`` into its circled base and the uncircled trees hanging above it."""
+    """Split ``b`` into its circled base and the uncircled trees hanging above it.
+
+    One pre-order walk from the (circled) root: an uncircled subtree becomes
+    the next slot and a leaf of the base, and a circled node waits on the
+    stack below its two sides until both are built.
+    """
     slots: list[PlanarTree] = []
-
-    def induced(t, offset):
-        # called only when the root of t is circled
-        root = offset + t.left.size + 1
-        sides = []
-        for sub, sub_offset in ((t.left, offset), (t.right, root)):
-            sub_root = sub_offset + sub.left.size + 1 if not sub.is_leaf else None
-            if sub_root is not None and sub_root in b.circled:
-                sides.append(induced(sub, sub_offset))
-            else:
-                slots.append(sub)
-                sides.append(LEAF)
-        return PlanarTree(*sides)
-
-    base = induced(b.tree, 0)
+    built: list[PlanarTree] = []
+    stack = [(b.tree, 0)]
+    while stack:
+        item = stack.pop()
+        if item is None:
+            right = built.pop()
+            built.append(PlanarTree(built.pop(), right))
+            continue
+        t, offset = item
+        root = offset + t.left.size + 1 if not t.is_leaf else None
+        if root not in b.circled:
+            slots.append(t)
+            built.append(LEAF)
+            continue
+        stack += (None, (t.right, root), (t.left, offset))
     if slots[0].size != 0:
         raise ValidityError("slot above leaf 1 of the base must be empty")
-    return ForestDecomposition(base, tuple(slots[1:]))
+    return ForestDecomposition(built[0], tuple(slots[1:]))
 
 
 def compose_decomposition(dec: ForestDecomposition) -> BiLeveledTree:
@@ -540,30 +545,36 @@ def compose_decomposition(dec: ForestDecomposition) -> BiLeveledTree:
 # splittings and graftings
 
 
-def _split_once(t: PlanarTree, leaf: int) -> tuple[PlanarTree, PlanarTree]:
-    if t.is_leaf:
-        return t, t
-    k = t.left.size
-    if leaf <= k + 1:
-        a, b = _split_once(t.left, leaf)
-        return a, PlanarTree(b, t.right)
-    a, b = _split_once(t.right, leaf - k - 1)
-    return PlanarTree(t.left, a), b
+def _interleave(u: tuple[int, ...], cuts, v: tuple[int, ...]) -> tuple[int, ...]:
+    """Cut ``u`` at the weakly increasing positions ``cuts`` and put one letter
+    of ``v``, raised above every letter of ``u``, in each cut, in order.
+
+    On words, grafting is this interleaving: the tree of the result is the
+    tree of ``v`` with the pieces of the tree of ``u``, cut at the same
+    places, above its leaves.
+    """
+    word, pos, shift = [], 0, len(u)
+    for cut, a in zip(cuts, v):
+        word += u[pos:cut]
+        word.append(a + shift)
+        pos = cut
+    word += u[pos:]
+    return tuple(word)
 
 
 def split_at(t: PlanarTree, leaves: tuple[int, ...]) -> tuple[PlanarTree, ...]:
-    """Cut ``t`` along a weakly increasing tuple of leaf indices (1-based)."""
+    """Cut ``t`` along a weakly increasing tuple of leaf indices (1-based).
+
+    The pieces are the trees of the slices of the minimal word of ``t``
+    between the cuts: leaf ``i`` lies after letter ``i - 1``.
+    """
     if any(b < a for a, b in zip(leaves, leaves[1:])):
         raise ValueError("cut leaves must be weakly increasing")
-    pieces, rest, offset = [], t, 0
     for leaf in leaves:
-        if not 1 <= leaf - offset <= rest.size + 1:
+        if not 1 <= leaf <= t.size + 1:
             raise ValueError(f"leaf index {leaf} out of range")
-        piece, rest = _split_once(rest, leaf - offset)
-        pieces.append(piece)
-        offset = leaf - 1
-    pieces.append(rest)
-    return tuple(pieces)
+    word, bounds = min_word(t), (0, *(leaf - 1 for leaf in leaves), t.size)
+    return tuple(tree_of_perm(word[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def splittings(obj: PlanarTree | BiLeveledTree, p: int,
@@ -593,55 +604,44 @@ def graft(forest, base: PlanarTree) -> PlanarTree:
     pieces = tuple(forest.pieces) if isinstance(forest, Splitting) else tuple(forest)
     if len(pieces) != base.size + 1:
         raise ArityError(f"{len(pieces)} pieces cannot graft onto {base.size} nodes")
-
-    def go(t, i):
-        if t.is_leaf:
-            return pieces[i], i + 1
-        left, i = go(t.left, i)
-        right, i = go(t.right, i)
-        return PlanarTree(left, right), i
-
-    tree, _ = go(base, 0)
-    return tree
+    # the pieces' minimal words on consecutive low blocks, cut between pieces
+    word, cuts = [], []
+    for t in pieces:
+        word += _word(t, len(word) + 1, True)
+        cuts.append(len(word))
+    return tree_of_perm(_interleave(word, cuts[:-1], min_word(base)))
 
 
-def _graft_circled(splitting: Splitting, base: PlanarTree,
-                   base_circled: frozenset[int]) -> BiLeveledTree:
-    """Graft a split bi-leveled tree onto ``base`` and place the circles.
+def _graft_circled(splitting: Splitting, base_word: tuple[int, ...]) -> BiLeveledTree:
+    """Graft a split bi-leveled tree onto the tree of ``base_word`` and place
+    the circles: the bi-leveled image of the source's section word with the
+    base's letters, raised, put in the cuts.
 
-    If the first piece is nonempty, every base node is circled and the
-    pieces keep their circles; otherwise all piece nodes lose their circles
-    and the base keeps ``base_circled``.  Either way the result is valid.
+    If the first piece is nonempty, the source's first letter is the least
+    circled one, so every base node is circled and the pieces keep their
+    circles; otherwise the base's first letter is, so the piece nodes lose
+    their circles and the base keeps those its word gives it.
     """
     if splitting.circled is None:
         raise ValueError("the splitting must come from a bi-leveled source")
-    tree = graft(splitting, base)
-    # piece i starts after offsets[i]; base node k lands at base_pos[k-1]
-    offsets, base_pos, acc = [], [], 0
-    for i, size in enumerate(splitting.piece_sizes):
-        offsets.append(acc + i)
-        acc += size
-        if i < base.size:
-            base_pos.append(acc + i + 1)
-    if splitting.pieces[0].size > 0:
-        circled = {off + c for off, circ in zip(offsets, splitting.piece_circles())
-                   for c in circ}
-        circled.update(base_pos)
-    else:
-        circled = {base_pos[k - 1] for k in base_circled}
-    return BiLeveledTree(tree, frozenset(circled))
+    if len(splitting.pieces) != len(base_word) + 1:
+        raise ArityError(
+            f"{len(splitting.pieces)} pieces cannot graft onto {len(base_word)} nodes")
+    source = section_word(BiLeveledTree(splitting.source, splitting.circled))
+    cuts = [leaf - 1 for leaf in splitting.leaves]
+    return bileveled_of_perm(_interleave(source, cuts, base_word))
 
 
 def graft_onto_bileveled(splitting: Splitting, base: BiLeveledTree) -> BiLeveledTree:
     """Graft a split bi-leveled tree onto a bi-leveled base (see ``_graft_circled``)."""
-    return _graft_circled(splitting, base.tree, base.circled)
+    return _graft_circled(splitting, section_word(base))
 
 
 def graft_onto_tree(splitting: Splitting, base: PlanarTree) -> BiLeveledTree:
     """Graft a restricted split bi-leveled tree onto a plain base, circling all of it."""
     if splitting.pieces[0].size == 0:
         raise ValueError("the first piece must be nonempty")
-    return _graft_circled(splitting, base, frozenset())
+    return _graft_circled(splitting, min_word(base))
 
 
 def right_graft(b: BiLeveledTree, s: PlanarTree) -> BiLeveledTree:
@@ -660,7 +660,7 @@ def right_cuts(b: BiLeveledTree) -> list[tuple[BiLeveledTree, PlanarTree]]:
     for depth in range(len(spine) - 1, 0, -1):
         if spine[depth] in b.circled:
             break
-        rest, sub = _split_once(b.tree, spine[depth - 1] + 1)
+        rest, sub = split_at(b.tree, (spine[depth - 1] + 1,))
         cuts.append((BiLeveledTree(rest, b.circled), sub))
     return cuts
 

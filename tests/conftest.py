@@ -10,6 +10,6 @@ def refuse_enumeration(monkeypatch):
     def fail(*args):
         raise AssertionError("enumerated past the size guard")
     for module, name in ((posets, "enumerate_family"), (trees, "enumerate_family"),
-                         (trees, "beta_fibers"), (posets, "all_trees"),
-                         (posets, "all_bileveled")):
+                         (trees, "beta_fibers"), (posets, "beta_fibers"),
+                         (posets, "all_trees"), (posets, "all_bileveled")):
         monkeypatch.setattr(module, name, fail)

@@ -119,6 +119,12 @@ def test_circled_product_matches_action():
 def test_circled_product_unit():
     assert product_msym("1", "{{..}.}").terms == {"{{..}.}": 1}
     assert product_msym("{{..}.}", "1").terms == {"{{..}.}": 1}
+    assert product_msym("1", "1").terms == {"1": 1}
+    # the unit passes on only a circled key
+    for other in ("xyz", "(..)", "{..", "."):
+        for pair in (("1", other), (other, "1")):
+            with pytest.raises(ValueError):
+                product_msym(*pair)
 
 
 def test_circled_product_associative_small():

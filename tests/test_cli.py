@@ -1,4 +1,6 @@
+import inspect
 import json
+import sys
 
 import pytest
 
@@ -167,21 +169,80 @@ def test_bad_inputs_exit_two(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "has circled nodes; expected a plain tree" in err
     # no conversion to run: the key is still checked; inputs deeper than the
-    # recursion limit of a recursive routine (here the forest decomposition
-    # of the fully circled left comb) and verify bounds that would check
-    # nothing are refused
-    deep = "{" * 1500 + ".." + "}" + ".}" * 1499
+    # recursion limit of a recursive routine (here the fiber of the right
+    # comb) and verify bounds that would check nothing are refused
     for argv in (["convert", "--family", "Y", "--from", "F", "--to", "F",
                   "--key", "{..}"],
                  ["convert", "--family", "S", "--from", "M", "--to", "M",
                   "--key", "zz"],
-                 ["map", "--op", "Mm", "--input", deep],
+                 ["fiber", "--map", "tau", "--input", "(." * 1500 + "." + ")" * 1500],
                  ["verify", "fibers", "--n-max", "-3"],
                  ["verify", "galois", "--n-max", "0"],
                  ["verify", "hopf-module", "--s-max", "-1"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("left, right", [
+    ("1", "xyz"), ("xyz", "1"), ("1", "(..)"), ("(..)", "1"), ("1", "{..")])
+def test_circled_unit_checks_the_other_factor(capsys, left, right):
+    code, out, err = run(capsys, "product", "--family", "M", "--left", left, "--right", right)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_circled_unit_keeps_its_products(capsys):
+    assert run(capsys, "product", "--family", "M", "--left", "1", "--right", "1")[:2] == (
+        0, "1\t1\n")
+    for argv in (["--left", "1", "--right", "{.(..)}"], ["--left", "{.(..)}", "--right", "1"]):
+        assert run(capsys, "product", "--family", "M", *argv)[:2] == (0, "1\t{.(..)}\n")
+
+
+CIRCLED_LEFT_COMB_1500 = "{" * 1500 + ".." + "}" + ".}" * 1499
+
+
+@pytest.mark.parametrize("op, expected", [
+    ("Mm", ",".join(map(str, range(1, 1501)))),
+    ("mm", ",".join(map(str, range(1, 1501)))),
+    ("qsym", "(" + ",".join(["1"] * 1500) + ")"),
+], ids=["Mm", "mm", "qsym"])
+def test_fiber_words_of_a_circled_key_deeper_than_the_recursion_limit(capsys, op, expected):
+    # the fully circled left comb is its own base, with nothing hanging: its
+    # fiber words are the increasing word
+    code, out, err = run(capsys, "map", "--op", op, "--input", CIRCLED_LEFT_COMB_1500)
+    assert (code, out, err) == (0, expected + "\n", "")
+
+
+def run_on_a_short_stack(capsys, *argv):
+    """``run`` with the recursion limit 100 frames above the current depth, so
+    that a routine recursing once per level of a 300-deep key overflows."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        return run(capsys, *argv)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+LEFT_COMB_300 = "(" * 300 + ".." + ")" + ".)" * 299
+CIRCLED_LEFT_COMB_300 = "{" * 300 + ".." + "}" + ".}" * 299
+
+
+@pytest.mark.parametrize("argv, terms", [
+    (["product", "--family", "Y", "--left", LEFT_COMB_300, "--right", "(..)"], 301),
+    (["product", "--family", "Y", "--left", "(..)", "--right", LEFT_COMB_300], 301),
+    (["coproduct", "--family", "Y", "--input", LEFT_COMB_300], 301),
+    (["product", "--family", "M", "--left", CIRCLED_LEFT_COMB_300, "--right", "{..}"], 301),
+    (["act", "--left", CIRCLED_LEFT_COMB_300, "--right", "(..)"], 300),
+    (["coact", "--input", CIRCLED_LEFT_COMB_300], 300),
+], ids=["product Y comb.(..)", "product Y (..).comb", "coproduct Y", "product M",
+        "act", "coact"])
+def test_structure_maps_of_keys_deeper_than_the_stack(capsys, argv, terms):
+    # the coefficients sum to the number of shuffles or cuts
+    code, out, err = run_on_a_short_stack(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert sum(int(line.split("\t")[0]) for line in out.splitlines()) == terms
 
 
 def test_tau_of_a_word_deeper_than_the_recursion_limit(capsys):
@@ -211,6 +272,7 @@ def test_min_and_max_words_of_combs_deeper_than_the_recursion_limit(capsys, op, 
 ] + [
     ["mobius", "--family", "S", "--n", "9", "--x", "123456789", "--y", "987654321"],
     ["hasse", "--family", "S", "--n", "9"],
+    ["fiber", "--map", "beta", "--input", "{" * 9 + "." + ".}" * 9],
 ], ids=" ".join)
 @pytest.mark.usefixtures("refuse_enumeration")
 def test_weak_order_past_its_size_limit_exits_two(capsys, argv):

@@ -7,9 +7,10 @@ each later group before the change it guards: the two size-six certificate
 runs before the certificates moved to bitmasks, the three ``hasse`` cases
 before ``FinitePoset`` reduced the relation it is given, the next five
 before the algebra's structure maps were memoised, the five after them
-before circled trees were enumerated without rejection, and the last nine
+before circled trees were enumerated without rejection, the nine after them
 before the fiber words, right cuts and basis conversions were each written
-once.  A refactor must reproduce them exactly.  To regenerate after an
+once, and the last six before cutting, grafting and the structure maps moved
+to fiber words.  A refactor must reproduce them exactly.  To regenerate after an
 intended output change, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -81,6 +82,14 @@ COMMANDS = [
     ["convert", "--family", "S", "--from", "M", "--to", "F", "--key", "1324"],
     ["convert", "--family", "M", "--from", "F", "--to", "M", "--key", "{{{..}{..}}(..)}"],
     ["convert", "--family", "M", "--from", "M", "--to", "F", "--key", "{{{..}{..}}(..)}"],
+    # the products, coproducts, action, coaction and composition map, which
+    # work on fiber words
+    ["product", "--family", "S", "--left", "2413", "--right", "3142"],
+    ["product", "--family", "M", "--left", "{{.(..)}(..)}", "--right", "{{..}{.(..)}}"],
+    ["coproduct", "--family", "Y", "--input", "(((.(..))(.((..).)))((..).))"],
+    ["map", "--op", "qsym", "--input", "{{{{..}(.(..))}(..)}{(..).}}"],
+    ["act", "--left", "231", "--right", "{{.(..)}(..)}"],
+    ["coact", "--input", "{{.((..)(..))}{(..)((..).)}}", "--basis", "F"],
 ]
 
 
