@@ -19,11 +19,12 @@ from functools import lru_cache
 from . import posets
 from .trees import (
     MAPS,
+    _beta_key,
     _interleave,
     _standardize,
+    _tau_key,
     all_bileveled,
     beta_fibers,
-    bileveled_of_perm,
     enumerate_family,
     is_coinvariant_shape,
     min_word,
@@ -33,7 +34,6 @@ from .trees import (
     render_perm,
     right_cuts,
     section_word,
-    tree_of_perm,
 )
 
 UNIT_KEY = {"S": "", "Y": ".", "M": "1"}
@@ -113,19 +113,17 @@ def tensor_to_json(t: TensorCombo) -> str:
 # Every key stands for one word of its fiber: a word for itself, a tree for
 # its minimal word, a circled tree for its section word.  Products are the
 # shifted shuffles of these words and coproducts their deconcatenations, each
-# word projected back to a key of the family; the projections depend only on
-# the relative order of the letters, and carry the shuffle and the
-# deconcatenation to grafting and cutting (Loday & Ronco 1998 for trees).
+# word projected straight to a key of the family, with no tree built (the
+# units are handled first, so ``_PROJECT["M"]`` never sees the empty word); the
+# projections depend only on the relative order of the letters, and carry the
+# shuffle and the deconcatenation to grafting and cutting (Loday & Ronco 1998
+# for trees).
 # Each map is a pure function of its string keys, memoised on them as a tuple
 # of (key, coefficient) items with interned keys; the public function checks
 # its arguments first and builds a fresh combination on every call.
 
 _WORD = {"S": lambda w: w, "Y": min_word, "M": section_word}
-_PROJECT = {
-    "S": lambda w: render_perm(_standardize(w)),
-    "Y": lambda w: render(tree_of_perm(w)),
-    "M": lambda w: render(bileveled_of_perm(w)),
-}
+_PROJECT = {"S": lambda w: render_perm(_standardize(w)), "Y": _tau_key, "M": _beta_key}
 
 
 def _word(family: str, key: str) -> tuple[int, ...]:
@@ -193,7 +191,7 @@ def action_ssym(w: str, s: str) -> LinearCombo:
     through its bi-leveled image."""
     word = parse_key("S", w)
     _require(bool(word), "the empty word acts as the unit; pass keys of size >= 1")
-    return product_msym(render(bileveled_of_perm(word)), s)
+    return product_msym(_beta_key(word), s)
 
 
 def action_ysym(b: str, s: str) -> LinearCombo:

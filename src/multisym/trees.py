@@ -304,18 +304,16 @@ def node_relations(tree: PlanarTree):
     """Parent and (left, right) child indices for each in-order node index."""
     parent: dict[int, int | None] = {}
     children: dict[int, tuple[int | None, int | None]] = {}
-
-    def walk(t, offset, par):
+    stack = [(tree, 0, None)]  # (subtree, index offset, parent index)
+    while stack:
+        t, offset, par = stack.pop()
         if t.is_leaf:
-            return None
+            continue
         root = offset + t.left.size + 1
         parent[root] = par
-        lc = walk(t.left, offset, root)
-        rc = walk(t.right, root, root)
-        children[root] = (lc, rc)
-        return root
-
-    walk(tree, 0, None)
+        children[root] = tuple(None if c.is_leaf else start + c.left.size + 1
+                               for c, start in ((t.left, offset), (t.right, root)))
+        stack += ((t.left, offset, root), (t.right, root, root))
     return parent, children
 
 
@@ -407,44 +405,79 @@ def enumerate_family(family: str, n: int) -> list[str]:
 # the three basic maps
 
 
-def tree_of_perm(word: tuple[int, ...]) -> PlanarTree:
-    """The unique tree whose node order the word extends (largest value at the root).
+def _cartesian(word: tuple[int, ...], leaf, join):
+    """The decreasing tree of ``word`` (largest letter at the root), built
+    from ``leaf`` by ``join(letter, left, right)`` at each node.
 
     One left-to-right pass: the stack holds the right spine built so far,
-    values decreasing, each with its finished left subtree; a letter takes
-    the smaller values it pops as its left subtree.
+    letters decreasing, each with its finished left part; a letter takes
+    the smaller letters it pops as its left part.
     """
-    stack: list[tuple[int, PlanarTree]] = []
+    stack = []
     for a in word:
-        below = LEAF
+        below = leaf
         while stack and stack[-1][0] < a:
-            below = PlanarTree(stack.pop()[1], below)
+            b, left = stack.pop()
+            below = join(b, left, below)
         stack.append((a, below))
-    tree = LEAF
+    out = leaf
     while stack:
-        tree = PlanarTree(stack.pop()[1], tree)
-    return tree
+        b, left = stack.pop()
+        out = join(b, left, out)
+    return out
+
+
+def tree_of_perm(word: tuple[int, ...]) -> PlanarTree:
+    """The unique tree whose node order the word extends (largest value at the root)."""
+    return _cartesian(word, LEAF, lambda a, left, right: PlanarTree(left, right))
+
+
+# The keys of tau and beta, joined as strings by the same walk, with no tree
+# built; each join copies its two parts, so a key costs its length times its
+# depth in copied characters.
+
+def _tau_key(word: tuple[int, ...]) -> str:
+    """``render(tree_of_perm(word))``."""
+    return _cartesian(word, ".", lambda a, left, right: "(" + left + right + ")")
+
+
+def _beta_key(word: tuple[int, ...]) -> str:
+    """``render(bileveled_of_perm(word))`` for a nonempty word, valid by
+    construction: the first letter is circled, its children are smaller, and
+    a circled node's parent is a larger letter, so circled too."""
+    first = word[0]
+    return _cartesian(word, ".", lambda a, left, right:
+                      "{" + left + right + "}" if a >= first else "(" + left + right + ")")
 
 
 def fiber_of_tree(t: PlanarTree) -> list[tuple[int, ...]]:
-    """All linear extensions of the node order of ``t``, as words by position."""
+    """All linear extensions of the node order of ``t``, as words by position.
+
+    Bottom up in one post-order walk: a node's words on 1..size put its
+    largest letter between a word of each subtree, the two relabelled by
+    every split of the smaller letters.
+    """
     if t.size == 0:
         raise ValueError("fibers are defined for trees with at least one node")
-
-    def extensions(t, labels):
-        if t.is_leaf:
-            return [()]
-        k = t.left.size
-        top, rest = labels[-1], labels[:-1]
-        out = []
-        for left_labels in itertools.combinations(rest, k):
-            right_labels = tuple(a for a in rest if a not in left_labels)
-            for lw in extensions(t.left, left_labels):
-                for rw in extensions(t.right, right_labels):
-                    out.append(lw + (top,) + rw)
-        return out
-
-    return sorted(extensions(t, tuple(range(1, t.size + 1))))
+    done: list[list[tuple[int, ...]]] = []  # fibers of finished subtrees, left first
+    stack = [(t, False)]
+    while stack:
+        node, ready = stack.pop()
+        if node.is_leaf:
+            done.append([()])
+        elif not ready:
+            stack += ((node, True), (node.right, False), (node.left, False))
+        else:
+            rights, lefts = done.pop(), done.pop()
+            letters, out = range(1, node.size), []
+            for left_labels in itertools.combinations(letters, node.left.size):
+                taken = set(left_labels)
+                right_labels = [a for a in letters if a not in taken]
+                ls = [tuple(left_labels[a - 1] for a in w) for w in lefts]
+                rs = [tuple(right_labels[a - 1] for a in w) for w in rights]
+                out += [lw + (node.size,) + rw for lw in ls for rw in rs]
+            done.append(out)
+    return sorted(done[0])
 
 
 def _word(t: PlanarTree, low: int, left_low: bool) -> tuple[int, ...]:
@@ -491,10 +524,11 @@ def strip_circles(b: BiLeveledTree) -> PlanarTree:
 def beta_fibers(n: int) -> MappingProxyType:
     """Group the words of S_n by their bi-leveled image, keys and words
     canonical; the mapping is shared between callers, so it is read-only."""
+    if n < 1:
+        raise ValidityError("the empty word has no bi-leveled image")
     fibers: dict[str, list[str]] = {}
     for word in itertools.permutations(range(1, n + 1)):
-        key = render(bileveled_of_perm(word))
-        fibers.setdefault(key, []).append(render_perm(word))
+        fibers.setdefault(_beta_key(word), []).append(render_perm(word))
     return MappingProxyType({key: tuple(sorted(words)) for key, words in fibers.items()})
 
 

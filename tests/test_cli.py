@@ -168,14 +168,12 @@ def test_bad_inputs_exit_two(capsys):
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "has circled nodes; expected a plain tree" in err
-    # no conversion to run: the key is still checked; inputs deeper than the
-    # recursion limit of a recursive routine (here the fiber of the right
-    # comb) and verify bounds that would check nothing are refused
+    # no conversion to run: the key is still checked; verify bounds that
+    # would check nothing are refused
     for argv in (["convert", "--family", "Y", "--from", "F", "--to", "F",
                   "--key", "{..}"],
                  ["convert", "--family", "S", "--from", "M", "--to", "M",
                   "--key", "zz"],
-                 ["fiber", "--map", "tau", "--input", "(." * 1500 + "." + ")" * 1500],
                  ["verify", "fibers", "--n-max", "-3"],
                  ["verify", "galois", "--n-max", "0"],
                  ["verify", "hopf-module", "--s-max", "-1"]):
@@ -212,6 +210,18 @@ def test_fiber_words_of_a_circled_key_deeper_than_the_recursion_limit(capsys, op
     # fiber words are the increasing word
     code, out, err = run(capsys, "map", "--op", op, "--input", CIRCLED_LEFT_COMB_1500)
     assert (code, out, err) == (0, expected + "\n", "")
+
+
+@pytest.mark.parametrize("tree, word", [
+    ("(." * 1500 + "." + ")" * 1500, range(1500, 0, -1)),
+    ("(" * 1500 + ".." + ")" + ".)" * 1499, range(1, 1501)),
+], ids=["right comb", "left comb"])
+def test_fiber_of_a_comb_deeper_than_the_recursion_limit(capsys, tree, word):
+    # a comb's node order is a chain, so its fiber is the one word that is
+    # both its minimal and its maximal word
+    code, out, err = run(capsys, "fiber", "--map", "tau", "--input", tree)
+    w = ",".join(map(str, word))
+    assert (code, out, err) == (0, f"{w}\nmin={w} max={w}\n", "")
 
 
 def run_on_a_short_stack(capsys, *argv):

@@ -9,8 +9,9 @@ before ``FinitePoset`` reduced the relation it is given, the next five
 before the algebra's structure maps were memoised, the five after them
 before circled trees were enumerated without rejection, the nine after them
 before the fiber words, right cuts and basis conversions were each written
-once, and the last six before cutting, grafting and the structure maps moved
-to fiber words.  A refactor must reproduce them exactly.  To regenerate after an
+once, the six after them before cutting, grafting and the structure maps
+moved to fiber words, and the last seven before words were projected straight
+to tree and circled keys, with no tree objects built.  A refactor must reproduce them exactly.  To regenerate after an
 intended output change, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -90,6 +91,14 @@ COMMANDS = [
     ["map", "--op", "qsym", "--input", "{{{{..}(.(..))}(..)}{(..).}}"],
     ["act", "--left", "231", "--right", "{{.(..)}(..)}"],
     ["coact", "--input", "{{.((..)(..))}{(..)((..).)}}", "--basis", "F"],
+    # every word projected straight to a tree or circled key
+    ["product", "--family", "Y", "--left", "(((..)(..))((..).))", "--right", "((..)((..).))"],
+    ["product", "--family", "M", "--left", "{{..}{{.(..)}{..}}}", "--right", "{{..}{(..).}}"],
+    ["act", "--left", "42513", "--right", "{{.(..)}{..}}"],
+    ["coact", "--input", "{{{..}{(..).}}{{(..)(..)}{..}}}", "--basis", "F"],
+    ["fiber", "--map", "beta", "--input", "{{.(..)}{(..)(..)}}"],
+    ["map", "--op", "tau", "--input", "7,12,3,9,1,11,5,2,10,4,8,6"],
+    ["map", "--op", "beta", "--input", "7,12,3,9,1,11,5,2,10,4,8,6"],
 ]
 
 

@@ -354,6 +354,9 @@ def test_beta_fibers_partition():
         words = [w for fiber in fibers.values() for w in fiber]
         assert sorted(words) == enumerate_family("S", n)
         assert sorted(fibers) == enumerate_family("M", n)
+    # the empty word has no circled image, as in bileveled_of_perm
+    with pytest.raises(ValidityError, match="the empty word has no bi-leveled image"):
+        beta_fibers(0)
 
 
 def test_beta_fibers_cannot_be_mutated_by_a_caller():
