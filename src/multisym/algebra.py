@@ -55,8 +55,23 @@ def key_degree(family: str, key: str) -> int:
     return len(obj) if family == "S" else obj.size
 
 
+class _Combo:
+    """What both combinations share: zero terms are dropped on construction,
+    ``items`` lists the terms sorted, and a combination is false when empty."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms",
+                           {k: v for k, v in self.terms.items() if v != 0})
+
+    def items(self):
+        return sorted(self.terms.items())
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
 @dataclass(frozen=True)
-class LinearCombo:
+class LinearCombo(_Combo):
     """Finitely supported integer combination of keys from one family/basis."""
 
     family: str
@@ -66,18 +81,11 @@ class LinearCombo:
     def __post_init__(self):
         _require(self.family in FAMILIES, f"unknown family {self.family!r}")
         _require(self.basis in BASES, f"unknown basis {self.basis!r}")
-        object.__setattr__(self, "terms",
-                           {k: v for k, v in self.terms.items() if v != 0})
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def __bool__(self):
-        return bool(self.terms)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class TensorCombo:
+class TensorCombo(_Combo):
     """Integer combination of key pairs; factor families/bases are fixed."""
 
     left_family: str
@@ -85,16 +93,6 @@ class TensorCombo:
     left_basis: str
     right_basis: str
     terms: dict[tuple[str, str], int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms",
-                           {k: v for k, v in self.terms.items() if v != 0})
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def __bool__(self):
-        return bool(self.terms)
 
 
 def combo_to_json(c: LinearCombo) -> str:
@@ -111,16 +109,19 @@ def tensor_to_json(t: TensorCombo) -> str:
 # fundamental-basis structure maps
 #
 # Every key stands for one word of its fiber: a word for itself, a tree for
-# its minimal word, a circled tree for its section word.  Products are the
-# shifted shuffles of these words and coproducts their deconcatenations, each
-# word projected straight to a key of the family, with no tree built (the
-# units are handled first, so ``_PROJECT["M"]`` never sees the empty word); the
+# its minimal word, a circled tree for its section word.  Every product and
+# action is a shifted shuffle of two such words (``_shuffle``), and every
+# coproduct and the coaction a deconcatenation of one (``_deconcatenate``);
+# each resulting word is projected straight to a key, with no tree built (the
+# circled unit is handled before the kernel and the coaction's cuts leave a
+# letter on the left, so ``_PROJECT["M"]`` never sees the empty word).  The
 # projections depend only on the relative order of the letters, and carry the
-# shuffle and the deconcatenation to grafting and cutting (Loday & Ronco 1998
-# for trees).
-# Each map is a pure function of its string keys, memoised on them as a tuple
-# of (key, coefficient) items with interned keys; the public function checks
-# its arguments first and builds a fresh combination on every call.
+# shuffle and the deconcatenation to grafting and cutting (Malvenuto &
+# Reutenauer 1995 for words, Loday & Ronco 1998 for trees).  Which variant a
+# map needs is read off the two families it names.
+# The two kernels are pure functions of their string arguments, memoised on
+# them as a tuple of (key, coefficient) items with interned keys; each public
+# map checks its arguments first and builds a fresh combination on every call.
 
 _WORD = {"S": lambda w: w, "Y": min_word, "M": section_word}
 _PROJECT = {"S": lambda w: render_perm(_standardize(w)), "Y": _tau_key, "M": _beta_key}
@@ -130,41 +131,49 @@ def _word(family: str, key: str) -> tuple[int, ...]:
     return _WORD[family](parse_key(family, key))
 
 
-def _shuffles(u: tuple[int, ...], v: tuple[int, ...]):
-    """Every interleaving of ``u`` with ``v`` raised above it, ``u``'s cuts in lex order."""
-    for cuts in itertools.combinations_with_replacement(range(len(u) + 1), len(v)):
-        yield _interleave(u, cuts, v)
-
-
 def _frozen(terms: dict) -> tuple:
     """The items of ``terms`` with every key string interned."""
     return tuple((sys.intern(k) if isinstance(k, str) else tuple(map(sys.intern, k)), v)
                  for k, v in terms.items())
 
 
+@lru_cache(maxsize=None)
+def _shuffle(left: str, x: str, right: str, y: str) -> tuple:
+    """Every interleaving of the word of ``x`` with that of ``y`` raised above
+    it, projected to ``left`` keys.  A tree acting on a circled key
+    (``left != right``) keeps the words whose first letter is the circled
+    key's, so that letter stays the least circled one and every node of the
+    tree is circled."""
+    u, v = _word(left, x), _word(right, y)
+    words = (_interleave(u, cuts, v) for cuts in
+             itertools.combinations_with_replacement(range(len(u) + 1), len(v)))
+    if left != right:
+        words = (w for w in words if w[0] <= len(u))
+    return _frozen(Counter(map(_PROJECT[left], words)))
+
+
+@lru_cache(maxsize=None)
+def _deconcatenate(left: str, right: str, x: str) -> tuple:
+    """Every single cut of the word of ``x``, the two pieces projected to
+    ``left`` and ``right`` keys.  The coaction (``left != right``) starts at
+    the first letter, since a circled tree is never empty."""
+    w, project_left, project_right = _word(left, x), _PROJECT[left], _PROJECT[right]
+    start = 0 if left == right else 1
+    return _frozen(Counter((project_left(w[:k]), project_right(w[k:]))
+                           for k in range(start, len(w) + 1)))
+
+
 def product_fund(family: str, x: str, y: str) -> LinearCombo:
     """Product of two fundamental basis elements of the word or tree family."""
     _require(family in ("S", "Y"),
              "the circled family multiplies through product_msym")
-    return LinearCombo(family, "F", dict(_product_fund(family, x, y)))
-
-
-@lru_cache(maxsize=None)
-def _product_fund(family: str, x: str, y: str) -> tuple:
-    project = _PROJECT[family]
-    return _frozen(Counter(map(project, _shuffles(_word(family, x), _word(family, y)))))
+    return LinearCombo(family, "F", dict(_shuffle(family, x, family, y)))
 
 
 def coproduct_fund(family: str, x: str) -> TensorCombo:
     """Coproduct of a fundamental basis element: the sum over single cuts."""
     _require(family in ("S", "Y"), "only the word and tree families have coproducts")
-    return TensorCombo(family, family, "F", "F", dict(_coproduct_fund(family, x)))
-
-
-@lru_cache(maxsize=None)
-def _coproduct_fund(family: str, x: str) -> tuple:
-    w, project = _word(family, x), _PROJECT[family]
-    return _frozen(Counter((project(w[:k]), project(w[k:])) for k in range(len(w) + 1)))
+    return TensorCombo(family, family, "F", "F", dict(_deconcatenate(family, family, x)))
 
 
 def product_msym(x: str, y: str) -> LinearCombo:
@@ -172,18 +181,13 @@ def product_msym(x: str, y: str) -> LinearCombo:
 
     The formal key "1" is a two-sided unit.
     """
-    return LinearCombo("M", "F", dict(_product_msym(x, y)))
-
-
-@lru_cache(maxsize=None)
-def _product_msym(x: str, y: str) -> tuple:
     unit = UNIT_KEY["M"]
     if unit in (x, y):
         other = y if x == unit else x
         if other != unit:
             parse_key("M", other)
-        return _frozen({other: 1})
-    return _frozen(Counter(map(_PROJECT["M"], _shuffles(_word("M", x), _word("M", y)))))
+        return LinearCombo("M", "F", {other: 1})
+    return LinearCombo("M", "F", dict(_shuffle("M", x, "M", y)))
 
 
 def action_ssym(w: str, s: str) -> LinearCombo:
@@ -196,30 +200,13 @@ def action_ssym(w: str, s: str) -> LinearCombo:
 
 def action_ysym(b: str, s: str) -> LinearCombo:
     """Right action of a tree on a circled key via restricted splittings."""
-    return LinearCombo("M", "F", dict(_action_ysym(b, s)))
-
-
-@lru_cache(maxsize=None)
-def _action_ysym(b: str, s: str) -> tuple:
-    # the restricted splittings keep a letter of the circled key first, so
-    # it stays the least circled letter and every node of the tree is circled
-    u = _word("M", b)
-    n = len(u)
-    return _frozen(Counter(_PROJECT["M"](w) for w in _shuffles(u, _word("Y", s))
-                           if w[0] <= n))
+    return LinearCombo("M", "F", dict(_shuffle("M", b, "Y", s)))
 
 
 def coaction(b: str) -> TensorCombo:
     """Coaction of the tree family on a circled key: restricted single cuts,
     circles dropped on the right factor."""
-    return TensorCombo("M", "Y", "F", "F", dict(_coaction(b)))
-
-
-@lru_cache(maxsize=None)
-def _coaction(b: str) -> tuple:
-    w = _word("M", b)
-    return _frozen(Counter((_PROJECT["M"](w[:k]), _PROJECT["Y"](w[k:]))
-                           for k in range(1, len(w) + 1)))
+    return TensorCombo("M", "Y", "F", "F", dict(_deconcatenate("M", "Y", b)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +294,8 @@ def apply_linear_map(name: str, x: LinearCombo) -> LinearCombo:
 
 def coaction_monomial(b: str) -> TensorCombo:
     """Closed form of the coaction in the monomial bases: one term per right cut."""
-    obj = parse_key("M", b)
-    terms: dict[tuple[str, str], int] = {}
-    for left, right in right_cuts(obj):
-        pair = (render(left), render(right))
-        terms[pair] = terms.get(pair, 0) + 1
-    return TensorCombo("M", "Y", "M", "M", terms)
+    cuts = right_cuts(parse_key("M", b))
+    return TensorCombo("M", "Y", "M", "M", Counter((render(l), render(r)) for l, r in cuts))
 
 
 def coaction_monomial_transported(b: str) -> TensorCombo:
@@ -355,8 +338,9 @@ def check_hopf_module(b: str, s: str) -> ComparisonReport:
         for pair, d in coaction(key).terms.items():
             lhs[pair] = lhs.get(pair, 0) + c * d
     rhs: dict[tuple[str, str], int] = {}
+    cut_s = coproduct_fund("Y", s).terms.items()
     for (m_key, y_key), c in coaction(b).terms.items():
-        for (y1, y2), d in coproduct_fund("Y", s).terms.items():
+        for (y1, y2), d in cut_s:
             left_part = action_ysym(m_key, y1)
             right_part = product_fund("Y", y_key, y2)
             for mk, mc in left_part.terms.items():

@@ -33,14 +33,6 @@ class TruncatedSeries:
     def _common_order(self, other) -> int:
         return min(self.order, other.order)
 
-    def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = self._common_order(other)
-        return TruncatedSeries(tuple(self[k] + other[k] for k in range(n + 1)))
-
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = self._common_order(other)
-        return TruncatedSeries(tuple(self[k] - other[k] for k in range(n + 1)))
-
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         n = self._common_order(other)
         out = [0] * (n + 1)

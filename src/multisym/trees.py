@@ -123,10 +123,6 @@ class ForestDecomposition:
         if len(self.hanging) != self.base.size:
             raise ArityError("need exactly one hanging tree per base node")
 
-    @property
-    def size(self) -> int:
-        return self.base.size + sum(t.size for t in self.hanging)
-
 
 @dataclass(frozen=True)
 class Splitting:

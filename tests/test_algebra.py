@@ -346,8 +346,7 @@ def test_zero_terms_are_dropped():
 
 M_KEYS = [k for n in range(1, 5) for k in enumerate_family("M", n)]
 Y_KEYS = [k for n in range(4) for k in enumerate_family("Y", n)]
-MEMOS = (algebra.key_degree, algebra._product_fund, algebra._coproduct_fund,
-         algebra._product_msym, algebra._action_ysym, algebra._coaction)
+MEMOS = (algebra.key_degree, algebra._shuffle, algebra._deconcatenate)
 
 
 def structure_map_calls():

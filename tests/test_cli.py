@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from multisym import cli
+from multisym import cli, posets, trees
 from multisym.trees import bileveled_of_perm, parse_perm, render
 
 
@@ -326,3 +326,24 @@ def test_unknown_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["map", "--op", "nosuch", "--input", "1"])
     assert exc.value.code == 2
+
+
+def test_fiber_whose_closed_form_minimum_disagrees_exits_one(capsys, monkeypatch):
+    key = beta_key("2413")
+    fiber_min_word = posets.fiber_min_word
+    monkeypatch.setattr(posets, "fiber_min_word", lambda b: fiber_min_word(b)[::-1])
+    code, out, err = run(capsys, "fiber", "--map", "beta", "--input", key)
+    assert (code, out) == (1, "")
+    assert err == f"certification error: closed-form minimum disagrees on {key!r}\n"
+
+
+def test_fiber_that_is_not_an_interval_exits_one(capsys, monkeypatch):
+    # lexicographic order extends the weak order, so the sorted fiber keeps
+    # its least and greatest word when a word between them is dropped
+    fibers = trees.beta_fibers(5)
+    key = next(k for k, words in fibers.items() if len(words) >= 3)
+    monkeypatch.setattr(posets, "beta_fibers", lambda n: {
+        k: words[:1] + words[2:] if k == key else words for k, words in fibers.items()})
+    code, out, err = run(capsys, "fiber", "--map", "beta", "--input", key)
+    assert (code, out) == (1, "")
+    assert err == f"certification error: fiber of {key!r} is not an interval\n"

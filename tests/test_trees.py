@@ -625,3 +625,34 @@ def test_coinvariant_shape_matches_single_cut():
         for key in enumerate_family("M", n):
             b = parse_tree(key)
             assert is_coinvariant_shape(b) == (len(right_cuts(b)) == 1)
+
+
+def compositions(n):
+    """The compositions of ``n``, one per subset of the n - 1 inner cut points."""
+    for mask in range(2 ** (n - 1)):
+        cuts = [0] + [i for i in range(1, n) if mask >> (i - 1) & 1] + [n]
+        yield tuple(b - a for a, b in zip(cuts, cuts[1:]))
+
+
+def test_composition_keys_round_trip():
+    for n in range(1, 7):
+        found = list(compositions(n))
+        assert len(set(found)) == 2 ** (n - 1)
+        for parts in found:
+            key = trees.render_key("Q", parts)
+            assert key == "(" + ",".join(map(str, parts)) + ")"
+            assert trees.parse_key("Q", key) == parts
+    assert trees.parse_key("Q", "1,2") == trees.parse_composition("(1,2)") == (1, 2)
+
+
+@pytest.mark.parametrize("bad, error", [
+    ("()", ParseError), ("(a)", ParseError), ("(0,1)", ValidityError)])
+def test_composition_keys_rejected(bad, error):
+    with pytest.raises(error, match="composition"):
+        trees.parse_key("Q", bad)
+
+
+def test_parse_key_rejects_an_unknown_family():
+    with pytest.raises(ValueError, match="unknown family 'Z'") as exc:
+        trees.parse_key("Z", "(1)")
+    assert type(exc.value) is ValueError
