@@ -1,15 +1,22 @@
 """Finite posets over canonical keys, the three concrete orders, and the
 Galois-connection / interval-retract certifiers.
 
-Posets are frozen after construction; comparability is kept as per-element
-bitmasks over the (lexicographically sorted) element list, and Möbius
-values are filled one row mu(x, -) at a time, on first use.
+Posets are frozen after construction.  Elements are indexed once, along a
+linear extension read from the top down, and comparability is kept as
+per-element down-set and up-set bitmasks over those indices, so the least
+element of a set, if it has one, is its highest bit.  The certificates are
+local: Möbius rows come from joins of upper covers (Rota's crosscut
+theorem), filled one row mu(x, -) at a time on first use; the lattice test
+joins every element with the join-irreducibles only; and an adjunction is
+checked through its unit and counit.  Every report names the first failure
+in the sorted key order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 
 from .trees import (
     MAPS,
@@ -37,27 +44,47 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _close(n: int, edges) -> list[int]:
-    """Per index, the mask of itself and every index that reaches it along ``edges``."""
-    above = [[] for _ in range(n)]
-    indeg = [0] * n
-    for i, j in edges:
-        above[i].append(j)
-        indeg[j] += 1
-    down = [1 << i for i in range(n)]
-    queue = [i for i in range(n) if indeg[i] == 0]
-    seen = 0
-    while queue:
-        i = queue.pop()
-        seen += 1
+def _linear_extension(above: list[list[int]]) -> list[int]:
+    """The indices ordered so that every i comes before each j in
+    ``above[i]``, taking the least ready index at each step (so an order the
+    indices already extend is kept as it is); cycles are rejected."""
+    indeg = [0] * len(above)
+    for js in above:
+        for j in js:
+            indeg[j] += 1
+    ready = [i for i, d in enumerate(indeg) if d == 0]
+    order = []
+    while ready:
+        i = heappop(ready)
+        order.append(i)
         for j in above[i]:
-            down[j] |= down[i]
             indeg[j] -= 1
             if indeg[j] == 0:
-                queue.append(j)
-    if seen != n:
+                heappush(ready, j)
+    if len(order) != len(above):
         raise ValueError("cover relation has a cycle")
-    return down
+    return order
+
+
+def _close(above: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Down-set and up-set masks of every index, for a relation in which
+    each j in ``above[i]`` lies above i and has a lower index."""
+    n = len(above)
+    up = [0] * n
+    below = [[] for _ in range(n)]
+    for i, js in enumerate(above):
+        mask = 1 << i
+        for j in js:
+            mask |= up[j]
+            below[j].append(i)
+        up[i] = mask
+    down = [0] * n
+    for j in reversed(range(n)):
+        mask = 1 << j
+        for i in below[j]:
+            mask |= down[i]
+        down[j] = mask
+    return down, up
 
 
 class IncomparableError(ValueError):
@@ -73,29 +100,48 @@ class FinitePoset:
     ``relation`` (cycles are rejected), and ``covers`` keeps the pairs of
     ``relation`` with nothing strictly between them, which is the transitive
     reduction, since that lies in every relation generating the order (Aho,
-    Garey & Ullman 1972).  Elements are sorted canonical strings.
+    Garey & Ullman 1972).  Elements are sorted canonical strings, and every
+    list a method returns is sorted too.
+
+    Internally the elements are indexed along a linear extension read from
+    the top down (``_names`` lists them in that order, ``index`` inverts
+    it): an up-set mask only reaches lower indices and a down-set mask only
+    higher ones.  So the least element of a set that has one is its highest
+    index, which ``int.bit_length`` reads in constant time, and up-set masks
+    of high elements are short.  ``_upper_covers`` lists each element's
+    upper covers by index.
     """
 
-    __slots__ = ("elements", "index", "covers", "_down", "_up", "_mobius")
+    __slots__ = ("elements", "index", "covers", "_names", "_down", "_up",
+                 "_upper_covers", "_mobius")
 
     def __init__(self, elements, relation):
         self.elements = sorted(elements)
-        self.index = {x: i for i, x in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
+        rank = {x: i for i, x in enumerate(self.elements)}
+        if len(rank) != len(self.elements):
             raise ValueError("duplicate elements")
-        edges = []
+        above = [[] for _ in self.elements]
         for x, y in relation:
-            if x not in self.index or y not in self.index:
+            if x not in rank or y not in rank:
                 raise ValueError(f"cover ({x!r}, {y!r}) mentions unknown elements")
             if x == y:
                 raise ValueError(f"self-cover on {x!r}")
-            edges.append((self.index[x], self.index[y]))
-        n = len(self.elements)
-        self._down = _close(n, edges)
-        self._up = _close(n, ((j, i) for i, j in edges))
-        self.covers = frozenset(
-            (self.elements[i], self.elements[j]) for i, j in edges
-            if (self._up[i] & self._down[j]).bit_count() == 2)
+            above[rank[x]].append(rank[y])
+        # the keys of S_n and Y_n already extend their orders, so there the
+        # indices run in reverse key order and listings need no real sort
+        order = _linear_extension(above)[::-1]
+        place = [0] * len(order)
+        for new, old in enumerate(order):
+            place[old] = new
+        self._names = [self.elements[old] for old in order]
+        self.index = {x: i for i, x in enumerate(self._names)}
+        above = [[place[j] for j in above[old]] for old in order]
+        self._down, self._up = down, up = _close(above)
+        self._upper_covers = [
+            tuple(sorted({j for j in js if (up[i] & down[j]).bit_count() == 2}))
+            for i, js in enumerate(above)]
+        self.covers = frozenset((self._names[i], self._names[j])
+                                for i, js in enumerate(self._upper_covers) for j in js)
         self._mobius = {}
 
     def __len__(self):
@@ -108,7 +154,11 @@ class FinitePoset:
         return bool(self._down[self.index[y]] >> self.index[x] & 1)
 
     def _members(self, mask: int) -> list[str]:
-        return [self.elements[i] for i in _bits(mask)]
+        return sorted(self._names[i] for i in _bits(mask))
+
+    def _first(self, indices) -> int:
+        """Of ``indices``, the one whose element comes first in ``elements``."""
+        return min(indices, key=self._names.__getitem__)
 
     def upset(self, x: str) -> list[str]:
         return self._members(self._up[self.index[x]])
@@ -140,15 +190,13 @@ class FinitePoset:
         mask = 0
         for x in members:
             mask |= 1 << self.index[x]
-        lo = hi = None
-        for i in _bits(mask):
-            if mask & ~self._up[i] == 0:
-                lo = i
-            if mask & ~self._down[i] == 0:
-                hi = i
-        if lo is None or hi is None or self._up[lo] & self._down[hi] != mask:
+        if not mask:
             return None
-        return self.elements[lo], self.elements[hi]
+        # an interval starts at its highest index and ends at its lowest
+        lo, hi = mask.bit_length() - 1, (mask & -mask).bit_length() - 1
+        if self._up[lo] & self._down[hi] != mask:
+            return None
+        return self._names[lo], self._names[hi]
 
     def mobius(self, x: str, y: str) -> int:
         i, j = self.index[x], self.index[y]
@@ -157,54 +205,92 @@ class FinitePoset:
         return self._mobius_row(i).get(j, 0)
 
     def mobius_row(self, x: str) -> list[tuple[str, int]]:
-        """The pairs ``(y, mu(x, y))`` with a nonzero value."""
-        return [(self.elements[j], mu) for j, mu in self._mobius_row(self.index[x]).items()]
+        """The pairs ``(y, mu(x, y))`` with a nonzero value, sorted by y."""
+        return sorted((self._names[j], mu)
+                      for j, mu in self._mobius_row(self.index[x]).items())
 
     def _mobius_row(self, i: int) -> dict[int, int]:
         """``{j: mu(i, j)}`` over the j >= i with a nonzero value."""
         row = self._mobius.get(i)
         if row is None:
-            # mu(i, j) = -sum of mu(i, k) over i <= k < j, filled along a linear
-            # extension; the k already filled are kept as one mask per value
-            row = {i: 1}
-            by_value = {1: 1 << i}
-            above = _bits(self._up[i] & ~(1 << i))
-            for j in sorted(above, key=lambda k: self._down[k].bit_count()):
-                below = self._down[j]
-                mu = -sum(value * (mask & below).bit_count()
-                          for value, mask in by_value.items())
-                if mu:
-                    row[j] = mu
-                    by_value[mu] = by_value.get(mu, 0) | 1 << j
+            row = self._crosscut_row(i)
+            if row is None:
+                row = self._mobius_recurrence(i)
             self._mobius[i] = row
         return row
 
+    def _crosscut_row(self, i: int) -> dict[int, int] | None:
+        """Rota's crosscut theorem on the upper covers of i: mu(i, y) is the
+        sum of (-1)^|S| over the sets S of covers whose join is y.  Exact when
+        every such join exists, since then the sum over y <= z counts the sets
+        of covers below z, which is 1 for z = i and 0 otherwise; None as soon
+        as a join fails to exist."""
+        up = self._up
+        signs = {i: 1}  # join of a set of the covers seen so far: sum of (-1)^|S|
+        for c in self._upper_covers[i]:
+            for a, sign in list(signs.items()):
+                # the only candidate for a v c is the highest index above both
+                common = up[a] & up[c]
+                if not common:
+                    return None
+                join = common.bit_length() - 1
+                if up[join] != common:
+                    return None
+                signs[join] = signs.get(join, 0) - sign
+        return {j: mu for j, mu in signs.items() if mu}
+
+    def _mobius_recurrence(self, i: int) -> dict[int, int]:
+        """The same row by the defining recurrence: mu(i, j) = -sum of
+        mu(i, k) over i <= k < j, filled along the linear extension, that is
+        from high indices to low; the k already filled are kept as one mask
+        per value."""
+        row = {i: 1}
+        by_value = {1: 1 << i}
+        for j in sorted(_bits(self._up[i] & ~(1 << i)), reverse=True):
+            below = self._down[j]
+            mu = -sum(value * (mask & below).bit_count()
+                      for value, mask in by_value.items())
+            if mu:
+                row[j] = mu
+                by_value[mu] = by_value.get(mu, 0) | 1 << j
+        return row
+
     def minimum(self) -> str | None:
+        # a least element comes first in every linear extension, so last here
         full = (1 << len(self.elements)) - 1
-        hits = [x for i, x in enumerate(self.elements) if self._up[i] == full]
-        return hits[0] if len(hits) == 1 else None
+        return self._names[-1] if self.elements and self._up[-1] == full else None
 
     def maximum(self) -> str | None:
         full = (1 << len(self.elements)) - 1
-        hits = [x for i, x in enumerate(self.elements) if self._down[i] == full]
-        return hits[0] if len(hits) == 1 else None
+        return self._names[0] if self.elements and self._down[0] == full else None
 
     def is_lattice(self) -> bool:
-        """Meets only: a finite poset with a top in which every pair has a meet
-        is a lattice (Davey & Priestley, Thm 2.31).  The empty poset passes."""
-        if self.maximum() is None:
-            return not self.elements
-        # re-index along a linear extension (x < y makes down(x) a proper
-        # subset of down(y)), so a greatest common lower bound is the highest
-        # bit of the common down-set, and that down-set is exactly its own
-        size = [mask.bit_count() for mask in self._down]
-        order = sorted(range(len(size)), key=size.__getitem__)
-        place = {old: new for new, old in enumerate(order)}
-        down = [sum(1 << place[k] for k in _bits(self._down[i])) for i in order]
-        for i, mask in enumerate(down):
-            for other in down[i + 1:]:
-                common = mask & other
-                if not common or common != down[common.bit_length() - 1]:
+        """Joins with join-irreducibles only: a finite poset with a bottom is a
+        lattice when x v j exists for every x and every j with exactly one
+        lower cover.  By induction on y along a linear extension: a y covering
+        y1 != y2 is y1 v y2 (that join lies below y and above y1, and is not
+        y1), so x v y = (x v y1) v y2; and a finite join-semilattice with a
+        bottom is a lattice (Davey & Priestley, Thm 2.31, dually).  The empty
+        poset passes."""
+        n = len(self.elements)
+        if not n:
+            return True
+        up = self._up
+        if up[-1] != (1 << n) - 1:
+            return False
+        lower = [0] * n
+        for covers in self._upper_covers:
+            for j in covers:
+                lower[j] += 1
+        for j, count in enumerate(lower):
+            if count != 1:
+                continue
+            above_j = up[j]
+            for above_x in up:
+                # the candidate for x v j is the highest index above both; an
+                # empty common up-set gives index -1, whose up-set is not empty
+                common = above_x & above_j
+                if up[common.bit_length() - 1] != common:
                     return False
         return True
 
@@ -422,42 +508,58 @@ class GaloisReport:
                 and self.mobius_failure is None)
 
 
+def _adjunction_failure(P, Q, fwd, bwd) -> str | None:
+    """The first v in ``P.elements`` and then the first t in ``Q.elements``
+    for which fwd(v) <= t and v <= bwd(t) differ, as a report; None if none."""
+    bwd_mask = [0] * len(P)
+    for t, v in enumerate(bwd):
+        bwd_mask[v] |= 1 << t
+    # per v, the t with fwd(v) <= t against the t with v <= bwd(t)
+    for v in P.elements:
+        i = P.index[v]
+        left = Q._up[fwd[i]]
+        right = 0
+        for u in _bits(P._up[i]):
+            right |= bwd_mask[u]
+        if left != right:
+            k = Q._first(_bits(left ^ right))
+            t, holds = Q._names[k], bool(left >> k & 1)
+            return (f"fwd({v}) <= {t} is {holds} but "
+                    f"{v} <= back({t}) is {not holds}")
+    return None
+
+
 def check_galois(pair: PosetMapPair) -> GaloisReport:
     """Certify the adjunction fwd(v) <= t  <=>  v <= back(t); when it holds,
     also certify the Möbius-transfer identity it implies."""
     P, Q = pair.source, pair.target
     fwd_bad = _order_preserving(P, Q, pair.forward)
     bwd_bad = _order_preserving(Q, P, pair.backward)
-    fwd = [Q.index[pair.forward[v]] for v in P.elements]
-    bwd_fiber = [[] for _ in P.elements]
-    for t, v in pair.backward.items():
-        bwd_fiber[P.index[v]].append(Q.index[t])
-    # per v, the t with fwd(v) <= t against the t with v <= back(t); the
-    # lowest differing bit is the first failing t in ``Q.elements`` order
-    bwd_mask = [sum(1 << t for t in fiber) for fiber in bwd_fiber]
+    fwd = [Q.index[pair.forward[v]] for v in P._names]
+    bwd = [P.index[pair.backward[t]] for t in Q._names]
+    # two order-preserving maps are adjoint iff v <= back(fwd(v)) for every v
+    # and fwd(back(t)) <= t for every t (Davey & Priestley, ch. 7); the full
+    # scan runs only to name the first failure
     adjunction = None
-    for i, v in enumerate(P.elements):
-        left = Q._up[fwd[i]]
-        right = 0
-        for u in _bits(P._up[i]):
-            right |= bwd_mask[u]
-        if left != right:
-            k = next(_bits(left ^ right))
-            t, holds = Q.elements[k], bool(left >> k & 1)
-            adjunction = (f"fwd({v}) <= {t} is {holds} but "
-                          f"{v} <= back({t}) is {not holds}")
-            break
+    if (fwd_bad is not None or bwd_bad is not None
+            or not all(P._up[v] >> bwd[t] & 1 for v, t in enumerate(fwd))
+            or not all(Q._down[t] >> fwd[v] & 1 for t, v in enumerate(bwd))):
+        adjunction = _adjunction_failure(P, Q, fwd, bwd)
     mobius_bad = None
     checked = adjunction is None and fwd_bad is None and bwd_bad is None
     if checked:
+        bwd_fiber = [[] for _ in P._names]
+        for t, v in enumerate(bwd):
+            bwd_fiber[v].append(t)
         # Rota: the sum of mu_P(v, w) over fwd(w) = t equals the sum of
         # mu_Q(s, t) over back(s) = v, for every v and t
-        for i, v in enumerate(P.elements):
+        for v in P.elements:
+            i = P.index[v]
             lhs = _mobius_sums(P, [i], fwd, len(Q))
             rhs = _mobius_sums(Q, bwd_fiber[i], range(len(Q)), len(Q))
             if lhs != rhs:
-                k = next(k for k in range(len(Q)) if lhs[k] != rhs[k])
-                mobius_bad = (f"sum mismatch at v={v}, t={Q.elements[k]}: "
+                k = Q._first(k for k in range(len(Q)) if lhs[k] != rhs[k])
+                mobius_bad = (f"sum mismatch at v={v}, t={Q._names[k]}: "
                               f"{lhs[k]} != {rhs[k]}")
                 break
     return GaloisReport(fwd_bad, bwd_bad, adjunction, mobius_bad, checked)
@@ -497,7 +599,7 @@ def check_interval_retract(pair: PosetMapPair) -> RetractReport:
             section = f"fwd(back({t})) = {pair.forward[pair.backward[t]]}"
             break
     fibers = _fibers(pair.forward, Q.elements)
-    fwd = [Q.index[pair.forward[v]] for v in P.elements]
+    fwd = [Q.index[pair.forward[v]] for v in P._names]
     fiber_bad = None
     for t in Q.elements:
         if not fibers[t]:
@@ -511,13 +613,11 @@ def check_interval_retract(pair: PosetMapPair) -> RetractReport:
         i = Q.index[s]
         total = _mobius_sums(P, [P.index[v] for v in fibers[s]], fwd, len(Q))
         expected = Q._mobius_row(i)
-        for k in _bits(Q._up[i] & ~(1 << i)):
-            if total[k] != expected.get(k, 0):
-                t = Q.elements[k]
-                mobius_bad = (f"sum over fibers of {s} < {t}: "
-                              f"{total[k]} != {expected.get(k, 0)}")
-                break
-        if mobius_bad:
+        bad = [k for k in _bits(Q._up[i] & ~(1 << i)) if total[k] != expected.get(k, 0)]
+        if bad:
+            k = Q._first(bad)
+            mobius_bad = (f"sum over fibers of {s} < {Q._names[k]}: "
+                          f"{total[k]} != {expected.get(k, 0)}")
             break
     return RetractReport(lattice, fwd_bad, bwd_bad, section, fiber_bad, mobius_bad)
 

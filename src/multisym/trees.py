@@ -260,7 +260,7 @@ def parse_composition(text: str) -> tuple[int, ...]:
         parts = tuple(int(a) for a in body.split(","))
     except ValueError:
         raise ParseError(f"not a composition string: {text!r}") from None
-    if not parts or any(a < 1 for a in parts):
+    if any(a < 1 for a in parts):
         raise ValidityError(f"composition parts must be positive: {text!r}")
     return parts
 

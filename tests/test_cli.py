@@ -1,5 +1,7 @@
 import inspect
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -146,6 +148,23 @@ def test_verify_suites_exit_zero(capsys):
     assert code == 0 and "status=pass" in out
     code, out, _ = run(capsys, "verify", "hopf-module", "--n-max", "2", "--s-max", "1")
     assert code == 0
+
+
+def test_module_entry_point_runs_the_cli():
+    # ``python -m multisym`` in a fresh interpreter, with this checkout's
+    # package first on the path
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "multisym", *argv],
+                              env=env, capture_output=True, text=True)
+
+    done = module("verify", "dimensions", "--n-max", "3")
+    assert (done.returncode, done.stdout) == (0, "suite=dimensions n_max=3 status=pass\n")
+    done = module("map", "--op", "tau", "--input", "14")
+    assert done.returncode == 2 and done.stderr.startswith("error:")
 
 
 def test_bad_inputs_exit_two(capsys):

@@ -10,8 +10,10 @@ before the algebra's structure maps were memoised, the five after them
 before circled trees were enumerated without rejection, the nine after them
 before the fiber words, right cuts and basis conversions were each written
 once, the six after them before cutting, grafting and the structure maps
-moved to fiber words, and the last seven before words were projected straight
-to tree and circled keys, with no tree objects built.  A refactor must reproduce them exactly.  To regenerate after an
+moved to fiber words, the seven after them before words were projected
+straight to tree and circled keys, with no tree objects built, and the last
+eight before the poset indices moved to a linear extension and the Möbius
+rows to the crosscut theorem.  A refactor must reproduce them exactly.  To regenerate after an
 intended output change, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -99,6 +101,16 @@ COMMANDS = [
     ["fiber", "--map", "beta", "--input", "{{.(..)}{(..)(..)}}"],
     ["map", "--op", "tau", "--input", "7,12,3,9,1,11,5,2,10,4,8,6"],
     ["map", "--op", "beta", "--input", "7,12,3,9,1,11,5,2,10,4,8,6"],
+    # Möbius values and rows of the rotation and bi-leveled orders, whose
+    # internal indices follow a linear extension rather than the key order
+    ["mobius", "--family", "Y", "--n", "5", "--x", "(((((..).).).).)", "--y", "(.(.(.(.(..)))))"],
+    ["mobius", "--family", "Y", "--n", "5", "--x", "(((((..).).).).)", "--y", "((.(.(.(..)))).)"],
+    ["mobius", "--family", "M", "--n", "5", "--x", "{{{{{..}.}.}.}.}", "--y", "{.(.(.(.(..))))}"],
+    ["mobius", "--family", "M", "--n", "5", "--x", "{{..}{{{..}.}.}}", "--y", "{{..}(.(.(..)))}"],
+    ["convert", "--family", "Y", "--from", "M", "--to", "F", "--key", "((((.(..)).).).)"],
+    ["convert", "--family", "Y", "--from", "M", "--to", "F", "--key", "((((((..).).).).).)"],
+    ["convert", "--family", "M", "--from", "M", "--to", "F", "--key", "{{{{..}.}.}{..}}"],
+    ["convert", "--family", "M", "--from", "M", "--to", "F", "--key", "{{{{{{..}.}.}.}.}.}"],
 ]
 
 

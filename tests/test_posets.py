@@ -13,6 +13,7 @@ from multisym.posets import (
     check_galois,
     check_interval_retract,
     fiber_interval,
+    poset_for,
     tamari,
     tree_section_pair,
     weak_order,
@@ -207,23 +208,88 @@ def test_lattice_and_mobius_match_oracles_on_random_posets(case):
     assert_matches_oracles(*case)
 
 
+BOWTIE = ("0abcdz", {("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"),
+                     ("b", "c"), ("b", "d"), ("c", "z"), ("d", "z")})
+DIAMOND = ("0abcz", {("0", x) for x in "abc"} | {(x, "z") for x in "abc"})
+
+# small orders, (elements, relation), and whether each is a lattice
+EXAMPLES = [
+    (("0ab", {("0", "a"), ("0", "b")}), False),  # two tops
+    (("abz", {("a", "z"), ("b", "z")}), False),  # two bottoms
+    (("abc", {("a", "c")}), False),  # no top
+    (BOWTIE, False),
+    (("0abcz", {("0", "a"), ("a", "b"), ("b", "z"), ("0", "c"), ("c", "z")}), True),  # pentagon
+    (DIAMOND, True),
+    (("a", set()), True),
+]
+
+
 def test_lattice_and_mobius_match_oracles_on_examples():
-    two_tops = ("0ab", {("0", "a"), ("0", "b")})
-    no_top = ("abc", {("a", "c")})
-    bowtie = ("0abcdz", {("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"),
-                         ("b", "c"), ("b", "d"), ("c", "z"), ("d", "z")})
-    pentagon = ("0abcz", {("0", "a"), ("a", "b"), ("b", "z"), ("0", "c"), ("c", "z")})
-    diamond = ("0abcz", {("0", x) for x in "abc"} | {(x, "z") for x in "abc"})
-    for (elements, relation), lattice in ((two_tops, False), (no_top, False),
-                                          (bowtie, False), (pentagon, True),
-                                          (diamond, True), (("a", set()), True)):
+    for (elements, relation), lattice in EXAMPLES:
         P = FinitePoset(elements, relation)
         assert P.is_lattice() == lattice
         assert_matches_oracles(P, relation)
-    assert FinitePoset(*diamond).mobius("0", "z") == 2
+    assert FinitePoset(*DIAMOND).mobius("0", "z") == 2
     for P in (weak_order(4), tamari(5), bileveled_order(4)):
         assert P.is_lattice()
         assert_matches_oracles(P, P.cover_pairs())
+
+
+def orders_up_to_six():
+    return [poset_for(family, n) for family in "SYM" for n in range(1, 7)]
+
+
+def test_crosscut_rows_match_the_recurrence():
+    # the joins of upper covers exist everywhere in S_n, Y_n and M_n, so no
+    # row falls back to the recurrence, and every row equals it
+    for P in orders_up_to_six():
+        for i in range(len(P)):
+            assert P._crosscut_row(i) == P._mobius_recurrence(i)
+
+
+def meets_reference(P):
+    # a finite poset with a top in which every pair has a meet is a lattice;
+    # a meet exists exactly when the common down-set is some element's own
+    downs = set(P._down)
+    return (P.maximum() is not None
+            and all(a & b in downs for a in P._down for b in P._down))
+
+
+def test_join_irreducible_lattice_test_matches_meets():
+    for P in orders_up_to_six() + [FinitePoset(*order) for order, _ in EXAMPLES]:
+        assert P.is_lattice() == meets_reference(P)
+
+
+@given(dag_posets())
+def test_join_irreducible_lattice_test_matches_meets_on_random_posets(case):
+    P, _ = case
+    assert P.is_lattice() == meets_reference(P)
+
+
+def test_crosscut_falls_back_where_a_join_is_missing():
+    # in the bowtie, a and b have two minimal upper bounds, so the row of 0
+    # comes from the recurrence; the rows of a and b still come from joins
+    elements, relation = BOWTIE
+    P = FinitePoset(elements, relation)
+    assert P._crosscut_row(P.index["0"]) is None
+    assert P._crosscut_row(P.index["a"]) is not None
+    inverse = zeta_inverse(P.elements, closure(P.elements, relation))
+    for x in P.elements:
+        for y in P.upset(x):
+            assert P.mobius(x, y) == inverse[x, y]
+    assert P.mobius("0", "z") == -1
+
+
+def test_crosscut_is_exact_off_lattices():
+    # two tops: not a lattice, but every join of covers of 0 exists
+    relation = {("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("c", "e")}
+    P = FinitePoset("0abcde", relation)
+    assert not P.is_lattice()
+    row = P._crosscut_row(P.index["0"])
+    assert row == P._mobius_recurrence(P.index["0"])
+    inverse = zeta_inverse(P.elements, closure(P.elements, relation))
+    assert P.mobius_row("0") == [(y, inverse["0", y]) for y in P.elements
+                                 if inverse["0", y]]
 
 
 def test_covers_are_the_reduction_of_a_transitive_relation():
@@ -257,6 +323,37 @@ def test_weak_order_rank_and_extremes():
         assert P.maximum() == render_perm(tuple(range(n, 0, -1)))
         for a, b in P.cover_pairs():
             assert inversions(parse_perm(b)) == inversions(parse_perm(a)) + 1
+
+
+def weak_mobius_closed_form(u, w):
+    # mu(u, w) = (-1)^|J| when w = w_0(J) u on values with lengths adding,
+    # else 0 (Björner & Brenti, Combinatorics of Coxeter Groups, §3.2);
+    # w_0(J) reverses each run of consecutive values joined by J
+    n = len(u)
+    for size in range(n):
+        for J in itertools.combinations(range(1, n), size):
+            start, flip = 1, {}
+            for v in range(1, n + 1):
+                if v not in J:  # v ends a run start..v
+                    for a in range(start, v + 1):
+                        flip[a] = start + v - a
+                    start = v + 1
+            longest = tuple(flip[a] for a in range(1, n + 1))
+            if (tuple(flip[a] for a in u) == w
+                    and inversions(w) == inversions(u) + inversions(longest)):
+                return (-1) ** size
+    return 0
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_weak_order_mobius_matches_the_closed_form(n):
+    P = weak_order(n)
+    words = list(itertools.permutations(range(1, n + 1)))
+    for u in words:
+        for w in words:
+            x, y = render_perm(u), render_perm(w)
+            expected = weak_mobius_closed_form(u, w)
+            assert (P.mobius(x, y) if P.leq(x, y) else 0) == expected
 
 
 def test_weak_order_mobius_values():
@@ -460,6 +557,75 @@ def test_broken_backward_map_fails_the_retract_clause():
         PosetMapPair(pair.source, pair.target, pair.forward, swapped))
     assert report.section_failure is not None
     assert not report.passed
+
+
+def adjunction_reference(pair):
+    # the first v, then the first t, in key order where the two sides differ
+    P, Q = pair.source, pair.target
+    for v in P.elements:
+        for t in Q.elements:
+            left, right = Q.leq(pair.forward[v], t), P.leq(v, pair.backward[t])
+            if left != right:
+                return f"fwd({v}) <= {t} is {left} but {v} <= back({t}) is {right}"
+    return None
+
+
+def retract_mobius_reference(pair):
+    # the first s, then the first t > s, in key order where the sum of
+    # mu_P(v, w) over v in the fiber of s and w in the fiber of t is not mu_Q(s, t)
+    P, Q, fwd = pair.source, pair.target, pair.forward
+    for s in Q.elements:
+        for t in Q.upset(s):
+            if t == s:
+                continue
+            total = sum(P.mobius(v, w) for v in P.elements if fwd[v] == s
+                        for w in P.upset(v) if fwd[w] == t)
+            if total != Q.mobius(s, t):
+                return f"sum over fibers of {s} < {t}: {total} != {Q.mobius(s, t)}"
+    return None
+
+
+@st.composite
+def varied_pairs(draw):
+    # a ready-made pair with either map, or both, kept, made constant (which
+    # preserves order) or redrawn at random
+    base = draw(st.sampled_from([tree_section_pair(3), tree_section_pair(4),
+                                 bileveled_section_pair(3), bileveled_section_pair(4)]))
+
+    def vary(mapping, codomain):
+        kind = draw(st.sampled_from(["keep", "constant", "any"]))
+        if kind == "keep":
+            return mapping
+        if kind == "constant":
+            c = draw(st.sampled_from(codomain))
+            return {k: c for k in mapping}
+        return {k: draw(st.sampled_from(codomain)) for k in mapping}
+
+    P, Q = base.source, base.target
+    return PosetMapPair(P, Q, vary(base.forward, Q.elements), vary(base.backward, P.elements))
+
+
+@given(varied_pairs())
+def test_certificate_reports_match_pairwise_definitions(pair):
+    assert check_galois(pair).adjunction_failure == adjunction_reference(pair)
+    assert check_interval_retract(pair).mobius_failure == retract_mobius_reference(pair)
+
+
+def test_unit_and_counit_failures_are_reported():
+    # order-preserving maps on the chain 1 < 2: a constant top backward map
+    # keeps the unit and breaks the counit, a constant bottom forward map the
+    # other way round
+    P = FinitePoset("12", {("1", "2")})
+    identity = {"1": "1", "2": "2"}
+    for forward, backward, failure in (
+            (identity, {"1": "2", "2": "2"}, "fwd(2) <= 1 is False but 2 <= back(1) is True"),
+            ({"1": "1", "2": "1"}, identity, "fwd(2) <= 1 is True but 2 <= back(1) is False")):
+        report = check_galois(PosetMapPair(P, P, forward, backward))
+        assert report.forward_order_preserving is None
+        assert report.backward_order_preserving is None
+        assert report.adjunction_failure == failure
+    assert check_galois(PosetMapPair(P, P, {"1": "1", "2": "1"},
+                                     {"1": "2", "2": "2"})).passed
 
 
 # --- DOT export ---------------------------------------------------------------

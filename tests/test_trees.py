@@ -607,6 +607,9 @@ def test_composition_round_trip_and_fibers():
         assert total == len(enumerate_family("M", n))
         for parts in compositions:
             assert qsym_composition(bileveled_of_composition(parts)) == parts
+    for parts in ((), (0, 2)):
+        with pytest.raises(ValidityError, match="composition parts must be positive"):
+            bileveled_of_composition(parts)
 
 
 # --- coinvariant shapes -----------------------------------------------------
