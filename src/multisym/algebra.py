@@ -55,6 +55,16 @@ def key_degree(family: str, key: str) -> int:
     return len(obj) if family == "S" else obj.size
 
 
+def _check_names(families, bases) -> None:
+    # the messages are formatted only on failure: combinations are built often
+    for family in families:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+    for basis in bases:
+        if basis not in BASES:
+            raise ValueError(f"unknown basis {basis!r}")
+
+
 class _Combo:
     """What both combinations share: zero terms are dropped on construction,
     ``items`` lists the terms sorted, and a combination is false when empty."""
@@ -79,8 +89,7 @@ class LinearCombo(_Combo):
     terms: dict[str, int]
 
     def __post_init__(self):
-        _require(self.family in FAMILIES, f"unknown family {self.family!r}")
-        _require(self.basis in BASES, f"unknown basis {self.basis!r}")
+        _check_names((self.family,), (self.basis,))
         super().__post_init__()
 
 
@@ -93,6 +102,10 @@ class TensorCombo(_Combo):
     left_basis: str
     right_basis: str
     terms: dict[tuple[str, str], int]
+
+    def __post_init__(self):
+        _check_names((self.left_family, self.right_family), (self.left_basis, self.right_basis))
+        super().__post_init__()
 
 
 def combo_to_json(c: LinearCombo) -> str:
@@ -298,16 +311,19 @@ def coaction_monomial(b: str) -> TensorCombo:
     return TensorCombo("M", "Y", "M", "M", Counter((render(l), render(r)) for l, r in cuts))
 
 
+def _coaction_of(x: LinearCombo) -> TensorCombo:
+    """The coaction extended linearly to a fundamental-basis combination."""
+    acc: dict[tuple[str, str], int] = {}
+    for key, c in x.terms.items():
+        for pair, d in coaction(key).terms.items():
+            acc[pair] = acc.get(pair, 0) + c * d
+    return TensorCombo("M", "Y", "F", "F", acc)
+
+
 def coaction_monomial_transported(b: str) -> TensorCombo:
     """The coaction of the monomial element computed the long way round:
     expand, apply the fundamental coaction, convert both factors back."""
-    expanded = from_monomial(LinearCombo("M", "M", {b: 1}))
-    acc: dict[tuple[str, str], int] = {}
-    for key, c in expanded.terms.items():
-        for pair, d in coaction(key).terms.items():
-            acc[pair] = acc.get(pair, 0) + c * d
-    fund = TensorCombo("M", "Y", "F", "F", acc)
-    return tensor_basis(fund, "M")
+    return tensor_basis(_coaction_of(from_monomial(LinearCombo("M", "M", {b: 1}))), "M")
 
 
 def coinvariant_basis(n: int) -> list[str]:
@@ -332,11 +348,6 @@ class ComparisonReport:
 
 def check_hopf_module(b: str, s: str) -> ComparisonReport:
     """Coaction of an action versus the componentwise action of a coproduct."""
-    acted = action_ysym(b, s)
-    lhs: dict[tuple[str, str], int] = {}
-    for key, c in acted.terms.items():
-        for pair, d in coaction(key).terms.items():
-            lhs[pair] = lhs.get(pair, 0) + c * d
     rhs: dict[tuple[str, str], int] = {}
     cut_s = coproduct_fund("Y", s).terms.items()
     for (m_key, y_key), c in coaction(b).terms.items():
@@ -347,7 +358,7 @@ def check_hopf_module(b: str, s: str) -> ComparisonReport:
                 for yk, yc in right_part.terms.items():
                     pair = (mk, yk)
                     rhs[pair] = rhs.get(pair, 0) + c * d * mc * yc
-    return ComparisonReport(TensorCombo("M", "Y", "F", "F", lhs),
+    return ComparisonReport(_coaction_of(action_ysym(b, s)),
                             TensorCombo("M", "Y", "F", "F", rhs))
 
 

@@ -161,6 +161,8 @@ def _cmd_hilbert(args) -> int:
 def _cmd_verify(args) -> int:
     if args.n_max is not None and args.n_max < 1:
         raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
+    if args.s_max is not None and args.suite != "hopf-module":
+        raise ValueError(f"--s-max applies to hopf-module only, not to {args.suite}")
     if args.s_max is not None and args.s_max < 0:
         raise ValueError(f"--s-max must be at least 0, got {args.s_max}")
     suite = verify.SUITES[args.suite]

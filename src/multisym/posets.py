@@ -8,31 +8,33 @@ element of a set, if it has one, is its highest bit.  The certificates are
 local: Möbius rows come from joins of upper covers (Rota's crosscut
 theorem), filled one row mu(x, -) at a time on first use; the lattice test
 joins every element with the join-irreducibles only; and an adjunction is
-checked through its unit and counit.  Every report names the first failure
-in the sorted key order.
+checked through its unit and counit, on the index tables a map pair builds
+once.  Every report names the first failure in the sorted key order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heappop, heappush
 
 from .trees import (
-    MAPS,
     BiLeveledTree,
     PlanarTree,
+    _beta_key,
+    _tau_key,
     all_bileveled,
     all_trees,
     beta_fibers,
     enumerate_family,
     fiber_min_word,
-    parse_key,
+    max_word,
     parse_perm,
     parse_tree,
     render,
-    render_key,
     render_perm,
+    section_word,
 )
 
 
@@ -97,7 +99,7 @@ class CertificationError(RuntimeError):
 
 class FinitePoset:
     """Explicit finite poset: ``leq`` is the reflexive-transitive closure of
-    ``relation`` (cycles are rejected), and ``covers`` keeps the pairs of
+    ``relation`` (cycles are rejected), and ``covers`` are the pairs of
     ``relation`` with nothing strictly between them, which is the transitive
     reduction, since that lies in every relation generating the order (Aho,
     Garey & Ullman 1972).  Elements are sorted canonical strings, and every
@@ -109,10 +111,10 @@ class FinitePoset:
     higher ones.  So the least element of a set that has one is its highest
     index, which ``int.bit_length`` reads in constant time, and up-set masks
     of high elements are short.  ``_upper_covers`` lists each element's
-    upper covers by index.
+    upper covers by index; ``covers`` and ``cover_pairs`` are read off it.
     """
 
-    __slots__ = ("elements", "index", "covers", "_names", "_down", "_up",
+    __slots__ = ("elements", "index", "_names", "_down", "_up",
                  "_upper_covers", "_mobius")
 
     def __init__(self, elements, relation):
@@ -140,8 +142,6 @@ class FinitePoset:
         self._upper_covers = [
             tuple(sorted({j for j in js if (up[i] & down[j]).bit_count() == 2}))
             for i, js in enumerate(above)]
-        self.covers = frozenset((self._names[i], self._names[j])
-                                for i, js in enumerate(self._upper_covers) for j in js)
         self._mobius = {}
 
     def __len__(self):
@@ -156,9 +156,10 @@ class FinitePoset:
     def _members(self, mask: int) -> list[str]:
         return sorted(self._names[i] for i in _bits(mask))
 
-    def _first(self, indices) -> int:
-        """Of ``indices``, the one whose element comes first in ``elements``."""
-        return min(indices, key=self._names.__getitem__)
+    def _first(self, indices) -> int | None:
+        """Of ``indices``, the one whose element comes first in ``elements``;
+        None if there is none."""
+        return min(indices, key=self._names.__getitem__, default=None)
 
     def upset(self, x: str) -> list[str]:
         return self._members(self._up[self.index[x]])
@@ -187,16 +188,19 @@ class FinitePoset:
     def interval_ends(self, members) -> tuple[str, str] | None:
         """``(least, greatest)`` if ``members`` is exactly the interval between
         them, else None (also when ``members`` is empty)."""
-        mask = 0
-        for x in members:
-            mask |= 1 << self.index[x]
+        ends = self._interval_ends(sum(1 << self.index[x] for x in set(members)))
+        return ends and (self._names[ends[0]], self._names[ends[1]])
+
+    def _interval_ends(self, mask: int) -> tuple[int, int] | None:
+        """The same on indices: ``(least, greatest)`` if ``mask`` is exactly
+        the interval between them, else None (also when ``mask`` is 0)."""
         if not mask:
             return None
         # an interval starts at its highest index and ends at its lowest
         lo, hi = mask.bit_length() - 1, (mask & -mask).bit_length() - 1
         if self._up[lo] & self._down[hi] != mask:
             return None
-        return self._names[lo], self._names[hi]
+        return lo, hi
 
     def mobius(self, x: str, y: str) -> int:
         i, j = self.index[x], self.index[y]
@@ -294,11 +298,17 @@ class FinitePoset:
                     return False
         return True
 
+    @property
+    def covers(self) -> frozenset[tuple[str, str]]:
+        names = self._names
+        return frozenset((names[i], names[j])
+                         for i, js in enumerate(self._upper_covers) for j in js)
+
     def cover_pairs(self) -> list[tuple[str, str]]:
         return sorted(self.covers)
 
-    def to_dot(self, name: str = "hasse") -> str:
-        lines = [f"digraph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["digraph hasse {"]
         for x in self.elements:
             lines.append(f'  "{x}";')
         for x, y in self.cover_pairs():
@@ -441,41 +451,53 @@ def fiber_interval(n: int, b: BiLeveledTree | str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class PosetMapPair:
-    """A forward/backward pair of total maps between two posets."""
+    """A forward/backward pair of total maps between two posets, also kept
+    as the index tables the certificates read: ``_fwd[i]`` is the target
+    index of the image of source index i, and ``_bwd`` the reverse."""
 
     source: FinitePoset
     target: FinitePoset
     forward: dict[str, str]
     backward: dict[str, str]
+    _fwd: list[int] = field(init=False, repr=False, compare=False)
+    _bwd: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if set(self.forward) != set(self.source.elements):
+        P, Q = self.source, self.target
+        if set(self.forward) != set(P.elements):
             raise ValueError("forward map must be total on the source")
-        if set(self.backward) != set(self.target.elements):
+        if set(self.backward) != set(Q.elements):
             raise ValueError("backward map must be total on the target")
         for x, y in self.forward.items():
-            if y not in self.target:
+            if y not in Q:
                 raise ValueError(f"forward image {y!r} of {x!r} not in target")
         for x, y in self.backward.items():
-            if y not in self.source:
+            if y not in P:
                 raise ValueError(f"backward image {y!r} of {x!r} not in source")
+        object.__setattr__(self, "_fwd", [Q.index[self.forward[x]] for x in P._names])
+        object.__setattr__(self, "_bwd", [P.index[self.backward[t]] for t in Q._names])
 
 
-def _fibers(mapping: dict[str, str], codomain) -> dict[str, list[str]]:
-    """The preimages under a total map of every element of ``codomain``."""
-    fibers: dict[str, list[str]] = {t: [] for t in codomain}
-    for v, t in mapping.items():
-        fibers[t].append(v)
-    return fibers
+def _fiber_masks(image: list[int], size: int) -> list[int]:
+    """Per index t below ``size``, the mask of the indices i with image[i] == t."""
+    masks = [0] * size
+    for i, t in enumerate(image):
+        masks[t] |= 1 << i
+    return masks
 
 
-def _order_preserving(poset_in, poset_out, mapping) -> str | None:
+def _order_preserving(P, Q, image) -> str | None:
     # <= is the reflexive-transitive closure of the covers, so a map that
-    # preserves every cover preserves <=
-    for a, b in poset_in.cover_pairs():
-        if not poset_out.leq(mapping[a], mapping[b]):
-            return f"{a} <= {b} but {mapping[a]} !<= {mapping[b]}"
-    return None
+    # preserves every cover preserves <=; the report names the first failing
+    # cover in key order
+    down = Q._down
+    bad = [(i, j) for i, js in enumerate(P._upper_covers) for j in js
+           if not down[image[j]] >> image[i] & 1]
+    if not bad:
+        return None
+    names = P._names
+    i, j = min(bad, key=lambda cover: (names[cover[0]], names[cover[1]]))
+    return f"{names[i]} <= {names[j]} but {Q._names[image[i]]} !<= {Q._names[image[j]]}"
 
 
 def _mobius_sums(P, sources, image, size: int) -> list[int]:
@@ -508,19 +530,16 @@ class GaloisReport:
                 and self.mobius_failure is None)
 
 
-def _adjunction_failure(P, Q, fwd, bwd) -> str | None:
+def _adjunction_failure(P, Q, fwd, bwd_fibers) -> str | None:
     """The first v in ``P.elements`` and then the first t in ``Q.elements``
     for which fwd(v) <= t and v <= bwd(t) differ, as a report; None if none."""
-    bwd_mask = [0] * len(P)
-    for t, v in enumerate(bwd):
-        bwd_mask[v] |= 1 << t
     # per v, the t with fwd(v) <= t against the t with v <= bwd(t)
     for v in P.elements:
         i = P.index[v]
         left = Q._up[fwd[i]]
         right = 0
         for u in _bits(P._up[i]):
-            right |= bwd_mask[u]
+            right |= bwd_fibers[u]
         if left != right:
             k = Q._first(_bits(left ^ right))
             t, holds = Q._names[k], bool(left >> k & 1)
@@ -532,11 +551,10 @@ def _adjunction_failure(P, Q, fwd, bwd) -> str | None:
 def check_galois(pair: PosetMapPair) -> GaloisReport:
     """Certify the adjunction fwd(v) <= t  <=>  v <= back(t); when it holds,
     also certify the Möbius-transfer identity it implies."""
-    P, Q = pair.source, pair.target
-    fwd_bad = _order_preserving(P, Q, pair.forward)
-    bwd_bad = _order_preserving(Q, P, pair.backward)
-    fwd = [Q.index[pair.forward[v]] for v in P._names]
-    bwd = [P.index[pair.backward[t]] for t in Q._names]
+    P, Q, fwd, bwd = pair.source, pair.target, pair._fwd, pair._bwd
+    fwd_bad = _order_preserving(P, Q, fwd)
+    bwd_bad = _order_preserving(Q, P, bwd)
+    bwd_fibers = _fiber_masks(bwd, len(P))
     # two order-preserving maps are adjoint iff v <= back(fwd(v)) for every v
     # and fwd(back(t)) <= t for every t (Davey & Priestley, ch. 7); the full
     # scan runs only to name the first failure
@@ -544,19 +562,16 @@ def check_galois(pair: PosetMapPair) -> GaloisReport:
     if (fwd_bad is not None or bwd_bad is not None
             or not all(P._up[v] >> bwd[t] & 1 for v, t in enumerate(fwd))
             or not all(Q._down[t] >> fwd[v] & 1 for t, v in enumerate(bwd))):
-        adjunction = _adjunction_failure(P, Q, fwd, bwd)
+        adjunction = _adjunction_failure(P, Q, fwd, bwd_fibers)
     mobius_bad = None
     checked = adjunction is None and fwd_bad is None and bwd_bad is None
     if checked:
-        bwd_fiber = [[] for _ in P._names]
-        for t, v in enumerate(bwd):
-            bwd_fiber[v].append(t)
         # Rota: the sum of mu_P(v, w) over fwd(w) = t equals the sum of
         # mu_Q(s, t) over back(s) = v, for every v and t
         for v in P.elements:
             i = P.index[v]
-            lhs = _mobius_sums(P, [i], fwd, len(Q))
-            rhs = _mobius_sums(Q, bwd_fiber[i], range(len(Q)), len(Q))
+            lhs = _mobius_sums(P, (i,), fwd, len(Q))
+            rhs = _mobius_sums(Q, _bits(bwd_fibers[i]), range(len(Q)), len(Q))
             if lhs != rhs:
                 k = Q._first(k for k in range(len(Q)) if lhs[k] != rhs[k])
                 mobius_bad = (f"sum mismatch at v={v}, t={Q._names[k]}: "
@@ -589,33 +604,23 @@ class RetractReport:
 
 def check_interval_retract(pair: PosetMapPair) -> RetractReport:
     """Certify the four retract clauses and the fiber-sum Möbius identity."""
-    P, Q = pair.source, pair.target
+    P, Q, fwd, bwd = pair.source, pair.target, pair._fwd, pair._bwd
     lattice = P.is_lattice()
-    fwd_bad = _order_preserving(P, Q, pair.forward)
-    bwd_bad = _order_preserving(Q, P, pair.backward)
-    section = None
-    for t in Q.elements:
-        if pair.forward[pair.backward[t]] != t:
-            section = f"fwd(back({t})) = {pair.forward[pair.backward[t]]}"
-            break
-    fibers = _fibers(pair.forward, Q.elements)
-    fwd = [Q.index[pair.forward[v]] for v in P._names]
-    fiber_bad = None
-    for t in Q.elements:
-        if not fibers[t]:
-            fiber_bad = f"empty fiber over {t}"
-            break
-        if P.interval_ends(fibers[t]) is None:
-            fiber_bad = f"fiber over {t} is not an interval"
-            break
+    fwd_bad = _order_preserving(P, Q, fwd)
+    bwd_bad = _order_preserving(Q, P, bwd)
+    t = Q._first(t for t, v in enumerate(bwd) if fwd[v] != t)
+    section = None if t is None else f"fwd(back({Q._names[t]})) = {Q._names[fwd[bwd[t]]]}"
+    fibers = _fiber_masks(fwd, len(Q))
+    t = Q._first(t for t, mask in enumerate(fibers) if P._interval_ends(mask) is None)
+    fiber_bad = (None if t is None else f"empty fiber over {Q._names[t]}" if not fibers[t]
+                 else f"fiber over {Q._names[t]} is not an interval")
     mobius_bad = None
     for s in Q.elements:
         i = Q.index[s]
-        total = _mobius_sums(P, [P.index[v] for v in fibers[s]], fwd, len(Q))
+        total = _mobius_sums(P, _bits(fibers[i]), fwd, len(Q))
         expected = Q._mobius_row(i)
-        bad = [k for k in _bits(Q._up[i] & ~(1 << i)) if total[k] != expected.get(k, 0)]
-        if bad:
-            k = Q._first(bad)
+        k = Q._first(k for k in _bits(Q._up[i] & ~(1 << i)) if total[k] != expected.get(k, 0))
+        if k is not None:
             mobius_bad = (f"sum over fibers of {s} < {Q._names[k]}: "
                           f"{total[k]} != {expected.get(k, 0)}")
             break
@@ -626,21 +631,21 @@ def check_interval_retract(pair: PosetMapPair) -> RetractReport:
 # ready-made pairs
 
 
-def _section_pair(P: FinitePoset, Q: FinitePoset, forward: str, backward: str) -> PosetMapPair:
-    """The maps ``forward`` from ``P`` to ``Q`` and ``backward`` from ``Q`` to
-    ``P``, named as in ``MAPS``, tabulated on their elements."""
-    def table(op, keys):
-        source, target, func = MAPS[op]
-        return {k: render_key(target, func(parse_key(source, k))) for k in keys}
-
-    return PosetMapPair(P, Q, table(forward, P.elements), table(backward, Q.elements))
+def _section_pair(n: int, order, project, objects, section) -> PosetMapPair:
+    """The weak order on S_n onto ``order(n)``: each word forward to the key
+    ``project(word)``, and each of ``objects(n)``, the objects behind the
+    target's keys in key order, back to the word ``section(obj)``."""
+    P, Q = weak_order(n), order(n)
+    forward = {render_perm(w): project(w) for w in itertools.permutations(range(1, n + 1))}
+    backward = {t: render_perm(section(obj)) for t, obj in zip(Q.elements, objects(n))}
+    return PosetMapPair(P, Q, forward, backward)
 
 
 def tree_section_pair(n: int) -> PosetMapPair:
     """Weak order onto the rotation order via the tree map, back via maximal words."""
-    return _section_pair(weak_order(n), tamari(n), "tau", "max")
+    return _section_pair(n, tamari, _tau_key, all_trees, max_word)
 
 
 def bileveled_section_pair(n: int) -> PosetMapPair:
     """Weak order onto the bi-leveled order, back via the section word."""
-    return _section_pair(weak_order(n), bileveled_order(n), "beta", "Mm")
+    return _section_pair(n, bileveled_order, _beta_key, all_bileveled, section_word)

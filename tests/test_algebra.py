@@ -342,6 +342,18 @@ def test_zero_terms_are_dropped():
     assert not tensor
 
 
+def test_combinations_reject_unknown_families_and_bases():
+    for args in (("Q", "Y", "F", "F"), ("M", "Q", "F", "F"),
+                 ("M", "Y", "Z", "F"), ("M", "Y", "F", "Z")):
+        with pytest.raises(ValueError, match="unknown (family|basis)"):
+            TensorCombo(*args, {("(1,2)", "."): 1})
+        with pytest.raises(ValueError, match="unknown (family|basis)"):
+            TensorCombo(*args, {})
+    for args in (("Q", "F"), ("M", "Z")):
+        with pytest.raises(ValueError, match="unknown (family|basis)"):
+            LinearCombo(*args, {})
+
+
 # --- the memo on the structure maps -------------------------------------------
 
 M_KEYS = [k for n in range(1, 5) for k in enumerate_family("M", n)]

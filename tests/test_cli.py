@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from multisym import cli, posets, trees
+from multisym import cli, posets, trees, verify
 from multisym.trees import bileveled_of_perm, parse_perm, render
 
 
@@ -148,6 +148,15 @@ def test_verify_suites_exit_zero(capsys):
     assert code == 0 and "status=pass" in out
     code, out, _ = run(capsys, "verify", "hopf-module", "--n-max", "2", "--s-max", "1")
     assert code == 0
+
+
+@pytest.mark.parametrize("suite", sorted(set(verify.SUITES) - {"hopf-module"}))
+def test_s_max_is_refused_outside_hopf_module(capsys, suite):
+    # only hopf-module has an acting-tree bound; elsewhere it would be dropped
+    code, out, err = run(capsys, "verify", suite, "--n-max", "2", "--s-max", "7")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--s-max" in err and suite in err
 
 
 def test_module_entry_point_runs_the_cli():

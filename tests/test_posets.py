@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -559,6 +560,56 @@ def test_broken_backward_map_fails_the_retract_clause():
     assert not report.passed
 
 
+@functools.lru_cache(maxsize=None)
+def covers_by_definition(P):
+    # the pairs a < b with nothing strictly between them, in key order
+    return [(a, b) for a in P.elements for b in P.elements
+            if a != b and P.leq(a, b)
+            and not any(P.leq(a, c) and P.leq(c, b) for c in P.elements if c not in (a, b))]
+
+
+def order_preserving_reference(P, Q, mapping):
+    # the first cover of P in key order whose images are not ordered in Q
+    for a, b in covers_by_definition(P):
+        if not Q.leq(mapping[a], mapping[b]):
+            return f"{a} <= {b} but {mapping[a]} !<= {mapping[b]}"
+    return None
+
+
+def section_reference(pair):
+    # the first t in key order that the forward map does not send back to itself
+    for t in pair.target.elements:
+        if pair.forward[pair.backward[t]] != t:
+            return f"fwd(back({t})) = {pair.forward[pair.backward[t]]}"
+    return None
+
+
+def fiber_reference(pair):
+    # the first t in key order whose preimage is empty or is no [a, b]
+    P = pair.source
+    for t in pair.target.elements:
+        fiber = {v for v in P.elements if pair.forward[v] == t}
+        if not fiber:
+            return f"empty fiber over {t}"
+        if not any(fiber == {x for x in P.elements if P.leq(a, x) and P.leq(x, b)}
+                   for a in fiber for b in fiber):
+            return f"fiber over {t} is not an interval"
+    return None
+
+
+def galois_mobius_reference(pair):
+    # the first v, then the first t, in key order where the sum of mu_P(v, w)
+    # over fwd(w) = t differs from the sum of mu_Q(s, t) over back(s) = v
+    P, Q, fwd, bwd = pair.source, pair.target, pair.forward, pair.backward
+    for v in P.elements:
+        for t in Q.elements:
+            lhs = sum(P.mobius(v, w) for w in P.upset(v) if fwd[w] == t)
+            rhs = sum(Q.mobius(s, t) for s in Q.elements if bwd[s] == v and Q.leq(s, t))
+            if lhs != rhs:
+                return f"sum mismatch at v={v}, t={t}: {lhs} != {rhs}"
+    return None
+
+
 def adjunction_reference(pair):
     # the first v, then the first t, in key order where the two sides differ
     P, Q = pair.source, pair.target
@@ -607,8 +658,40 @@ def varied_pairs(draw):
 
 @given(varied_pairs())
 def test_certificate_reports_match_pairwise_definitions(pair):
-    assert check_galois(pair).adjunction_failure == adjunction_reference(pair)
-    assert check_interval_retract(pair).mobius_failure == retract_mobius_reference(pair)
+    P, Q = pair.source, pair.target
+    forward_bad = order_preserving_reference(P, Q, pair.forward)
+    backward_bad = order_preserving_reference(Q, P, pair.backward)
+    galois = check_galois(pair)
+    assert galois.forward_order_preserving == forward_bad
+    assert galois.backward_order_preserving == backward_bad
+    assert galois.adjunction_failure == adjunction_reference(pair)
+    checked = forward_bad is None and backward_bad is None and galois.adjunction_holds
+    assert galois.checked_mobius == checked
+    assert galois.mobius_failure == (galois_mobius_reference(pair) if checked else None)
+    retract = check_interval_retract(pair)
+    assert retract.forward_order_preserving == forward_bad
+    assert retract.backward_order_preserving == backward_bad
+    assert retract.section_failure == section_reference(pair)
+    assert retract.fiber_failure == fiber_reference(pair)
+    assert retract.mobius_failure == retract_mobius_reference(pair)
+
+
+def named_map_tables(P, Q, forward, backward):
+    # both maps of a pair through the named maps of ``trees.MAPS``, each key
+    # parsed into its object and the image rendered back
+    def table(op, keys):
+        source, target, func = trees.MAPS[op]
+        return {k: trees.render_key(target, func(trees.parse_key(source, k))) for k in keys}
+
+    return table(forward, P.elements), table(backward, Q.elements)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_section_pairs_match_the_named_maps(n):
+    for pair, order, ops in ((tree_section_pair(n), tamari(n), ("tau", "max")),
+                             (bileveled_section_pair(n), bileveled_order(n), ("beta", "Mm"))):
+        assert pair.source is weak_order(n) and pair.target is order
+        assert (pair.forward, pair.backward) == named_map_tables(pair.source, order, *ops)
 
 
 def test_unit_and_counit_failures_are_reported():
