@@ -30,7 +30,6 @@ from .trees import (
     enumerate_family,
     fiber_min_word,
     max_word,
-    parse_perm,
     parse_tree,
     render,
     render_perm,
@@ -353,28 +352,31 @@ def weak_order(n: int) -> FinitePoset:
         raise ValueError("weak order needs n >= 1")
     check_weak_size(n)
     elements = enumerate_family("S", n)
-    covers = set()
-    for key in elements:
-        word = parse_perm(key)
-        pos = {a: i for i, a in enumerate(word)}
-        for k in range(1, n):
-            if pos[k] < pos[k + 1]:
-                swapped = tuple(k + 1 if a == k else k if a == k + 1 else a
-                                for a in word)
-                covers.add((key, render_perm(swapped)))
+    # below the size limit every letter is one digit, so a cover exchanges
+    # two characters of the key
+    letters = "123456789"[:n]
+    swaps = [(a, b, str.maketrans(a + b, b + a)) for a, b in zip(letters, letters[1:])]
+    covers = [(key, key.translate(swap)) for key in elements
+              for a, b, swap in swaps if key.index(a) < key.index(b)]
     return FinitePoset(elements, covers)
 
 
-def _rotations(t):
-    # every single right rotation (A.B).C -> A.(B.C), anywhere in t
-    if t.is_leaf:
-        return
-    if not t.left.is_leaf:
-        yield PlanarTree(t.left.left, PlanarTree(t.left.right, t.right))
-    for sub in _rotations(t.left):
-        yield PlanarTree(sub, t.right)
-    for sub in _rotations(t.right):
-        yield PlanarTree(t.left, sub)
+def _rotations(t: PlanarTree, key: str):
+    """The key of every single right rotation (A.B).C -> A.(B.C) anywhere in
+    ``t``, whose key is ``key``.  A subtree on s nodes spans 3s + 1
+    characters, so A, B and C are slices of ``key``."""
+    stack = [(t, 0)]
+    while stack:
+        t, start = stack.pop()
+        if t.is_leaf:
+            continue
+        mid, end = start + 3 * t.left.size + 2, start + 3 * t.size + 1
+        if not t.left.is_leaf:
+            # "((AB)C)" becomes "(A(BC))"
+            a = start + 3 * t.left.left.size + 3
+            yield (key[:start + 1] + key[start + 2:a] + "(" + key[a:mid - 1]
+                   + key[mid:end - 1] + ")" + key[end - 1:])
+        stack += ((t.left, start + 1), (t.right, mid))
 
 
 @lru_cache(maxsize=None)
@@ -383,11 +385,14 @@ def tamari(n: int) -> FinitePoset:
     if n < 1:
         raise ValueError("rotation order needs n >= 1")
     _check_size("rotation order", n, MAX_TAMARI_N)
-    covers = set()
-    for t in all_trees(n):
-        for rotated in _rotations(t):
-            covers.add((render(t), render(rotated)))
-    return FinitePoset(enumerate_family("Y", n), covers)
+    keys = enumerate_family("Y", n)
+    covers = [(key, rotated) for key, t in zip(keys, all_trees(n))
+              for rotated in _rotations(t, key)]
+    return FinitePoset(keys, covers)
+
+
+# the key of a circled tree's shape
+_UNCIRCLE = str.maketrans("{}", "()")
 
 
 @lru_cache(maxsize=None)
@@ -398,10 +403,9 @@ def bileveled_order(n: int) -> FinitePoset:
         raise ValueError("bi-leveled order needs n >= 1")
     _check_size("bi-leveled order", n, MAX_BILEVELED_N)
     tam = tamari(n)
-    shape = {t: tam.index[render(t)] for t in all_trees(n)}
     by_shape = [[] for _ in tam.elements]
     for key, b in zip(enumerate_family("M", n), all_bileveled(n)):
-        by_shape[shape[b.tree]].append((b.circled, key))
+        by_shape[tam.index[key.translate(_UNCIRCLE)]].append((b.circled, key))
     keys = [key for group in by_shape for _, key in group]
     relation = []
     for below, group in zip(tam._down, by_shape):
@@ -432,15 +436,20 @@ def fiber_interval(n: int, b: BiLeveledTree | str) -> tuple[str, str]:
     match the closed-form minimal word; otherwise ``CertificationError``.
     """
     check_weak_size(n)
-    key = b if isinstance(b, str) else render(b)
-    obj = parse_tree(key)
+    key, obj = (b, parse_tree(b)) if isinstance(b, str) else (render(b), b)
+    return _fiber_interval(n, key, obj)
+
+
+def _fiber_interval(n: int, key: str, b: BiLeveledTree) -> tuple[str, str]:
+    """``fiber_interval`` on a size checked already, for a tree ``b`` whose
+    key ``key`` is known."""
     fiber = beta_fibers(n).get(key)
     if fiber is None:
         raise ValueError(f"{key!r} is not a bi-leveled key of size {n}")
     ends = weak_order(n).interval_ends(fiber)
     if ends is None:
         raise CertificationError(f"fiber of {key!r} is not an interval")
-    if ends[0] != render_perm(fiber_min_word(obj)):
+    if ends[0] != render_perm(fiber_min_word(b)):
         raise CertificationError(f"closed-form minimum disagrees on {key!r}")
     return ends
 

@@ -328,35 +328,64 @@ def right_spine(tree: PlanarTree) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def all_trees(n: int) -> tuple[PlanarTree, ...]:
+def _trees(n: int) -> tuple[tuple[str, ...], tuple[PlanarTree, ...]]:
+    """The keys of Y_n, sorted, and their trees in the same order.  Each key
+    is joined as ``"(" + left key + right key + ")"`` from the tables of the
+    smaller sizes, and each tree shares its subtrees with them."""
     if n == 0:
-        return (LEAF,)
-    out = []
+        return (".",), (LEAF,)
+    keyed = []
     for k in range(n):
-        for left in all_trees(k):
-            for right in all_trees(n - 1 - k):
-                out.append(PlanarTree(left, right))
-    return tuple(sorted(out, key=render))
+        left_keys, lefts = _trees(k)
+        right_keys, rights = _trees(n - 1 - k)
+        for left_key, left in zip(left_keys, lefts):
+            for right_key, right in zip(right_keys, rights):
+                keyed.append(("(" + left_key + right_key + ")", PlanarTree(left, right)))
+    keyed.sort(key=lambda pair: pair[0])
+    keys, objs = zip(*keyed)
+    return keys, objs
 
 
-def _ideals(t: PlanarTree, offset: int) -> list[tuple[int, ...]]:
-    """Every upward-closed node set of ``t``: empty, or its root with one of
-    each subtree's, as in-order indices after ``offset``."""
+def all_trees(n: int) -> tuple[PlanarTree, ...]:
+    """The planar trees on n nodes, sorted by key (the order of
+    ``enumerate_family("Y", n)``)."""
+    return _trees(n)[1]
+
+
+def _ideals(t: PlanarTree, offset: int, key: str) -> list[tuple[tuple[int, ...], str]]:
+    """Every upward-closed node set of ``t`` with the key of ``t`` circled
+    there, the set as in-order indices after ``offset``: first the empty set
+    and the plain key ``key``, then the root with one set of each subtree.
+    A subtree on s nodes spans 3s + 1 characters of a key, so the plain keys
+    of the subtrees are slices of ``key``."""
     if t.is_leaf:
-        return [()]
-    root = offset + t.left.size + 1
-    return [()] + [left + (root,) + right for left in _ideals(t.left, offset)
-                   for right in _ideals(t.right, root)]
+        return [((), key)]
+    root, mid = offset + t.left.size + 1, 3 * t.left.size + 2
+    return [((), key)] + [
+        (left + (root,) + right, "{" + left_key + right_key + "}")
+        for left, left_key in _ideals(t.left, offset, key[1:mid])
+        for right, right_key in _ideals(t.right, root, key[mid:-1])]
 
 
-def _crowns(t: PlanarTree) -> list[tuple[int, ...]]:
-    """Every valid circled set of ``t``: the left spine down to node 1, no
-    child of node 1, and an upward-closed set of each other right subtree."""
-    root = t.left.size + 1
+def _crowns(t: PlanarTree, key: str) -> list[tuple[tuple[int, ...], str]]:
+    """Every valid circled set of ``t`` with its key, ``key`` being the plain
+    key of ``t``: the left spine down to node 1, no child of node 1, and an
+    upward-closed set of each other right subtree."""
+    root, mid = t.left.size + 1, 3 * t.left.size + 2
     if t.left.is_leaf:
-        return [(root,)]
-    return [left + (root,) + right for left in _crowns(t.left)
-            for right in _ideals(t.right, root)]
+        return [((root,), "{" + key[1:-1] + "}")]
+    return [(left + (root,) + right, "{" + left_key + right_key + "}")
+            for left, left_key in _crowns(t.left, key[1:mid])
+            for right, right_key in _ideals(t.right, root, key[mid:-1])]
+
+
+def _crowned(tree: PlanarTree, circled: frozenset[int]) -> BiLeveledTree:
+    """A ``BiLeveledTree`` built without ``_check_bileveled``, for a crown
+    valid by construction."""
+    b = object.__new__(BiLeveledTree)
+    object.__setattr__(b, "tree", tree)
+    object.__setattr__(b, "circled", circled)
+    return b
 
 
 @lru_cache(maxsize=None)
@@ -365,12 +394,11 @@ def _bileveled(n: int) -> tuple[tuple[str, ...], tuple[BiLeveledTree, ...]]:
     if n < 1:
         raise ValueError("bi-leveled trees need at least one node")
     keyed, circles = [], {}
-    for tree in all_trees(n):
-        for crown in _crowns(tree):
+    for plain, tree in zip(*_trees(n)):
+        for crown, key in _crowns(tree, plain):
             # the same circled set recurs across shapes: keep one copy
             circled = circles.setdefault(crown, frozenset(crown))
-            b = BiLeveledTree(tree, circled)
-            keyed.append((render(b), b))
+            keyed.append((key, _crowned(tree, circled)))
     keyed.sort(key=lambda pair: pair[0])
     keys, objs = zip(*keyed)
     return keys, objs
@@ -387,9 +415,12 @@ def enumerate_family(family: str, n: int) -> list[str]:
     if n < 0:
         raise ValueError("size must be nonnegative")
     if family == "S":
+        if n <= 9:
+            # one digit per letter: the permutations of a sorted string come sorted
+            return list(map("".join, itertools.permutations("123456789"[:n])))
         return sorted(render_perm(w) for w in itertools.permutations(range(1, n + 1)))
     if family == "Y":
-        return [render(t) for t in all_trees(n)]
+        return list(_trees(n)[0])
     if family == "M":
         if n == 0:
             raise ValueError("there is no bi-leveled tree on 0 nodes")
@@ -731,26 +762,32 @@ def fiber_min_word(b: BiLeveledTree) -> tuple[int, ...]:
     return _fiber_word(b, False)
 
 
-_PINNED = (
-    (1, 3, 4, 2),  # 0231 with the 0 pinned to the first letter
-    (4, 1, 3, 2),  # 3021 with the 3 pinned
-    (3, 1, 4, 2),  # 2031 with the 2 pinned
-)
-
-
 def _standardize(values: tuple[int, ...]) -> tuple[int, ...]:
-    order = sorted(values)
-    return tuple(order.index(a) + 1 for a in values)
+    """The word on 1..len(values) in the same relative order as ``values``."""
+    out = [0] * len(values)
+    for rank, i in enumerate(sorted(range(len(values)), key=values.__getitem__), 1):
+        out[i] = rank
+    return tuple(out)
 
 
 def avoids_pinned(word: tuple[int, ...]) -> bool:
-    """True iff no length-4 pattern from the pinned list starts at letter one."""
+    """True iff no length-4 pattern 0231, 3021 or 2031 starts at letter one.
+
+    With f the first letter and a, b, c later letters in that order, the
+    patterns are f < c < a < b (0231), a < c < b < f (3021) and
+    a < c < f < b (2031).  So for each b it suffices to know the least a
+    before it and the largest a below b before it.
+    """
     if len(word) < 4:
         return True
     first, rest = word[0], word[1:]
-    for triple in itertools.combinations(rest, 3):
-        if _standardize((first,) + triple) in _PINNED:
-            return False
+    for j in range(1, len(rest) - 1):
+        b, before = rest[j], rest[:j]
+        least = min(before)
+        below_b = max((a for a in before if a < b), default=first)
+        for c in rest[j + 1:]:
+            if first < c < below_b or least < c < min(b, first):
+                return False
     return True
 
 

@@ -7,6 +7,7 @@ machine-readable summary line.  Suites never mutate shared state.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import algebra, posets, series, trees
@@ -39,14 +40,15 @@ def suite_fibers(n_max: int = 6) -> SuiteResult:
     posets.check_weak_size(n_max)
     for n in range(1, n_max + 1):
         fibers = trees.beta_fibers(n)
+        keys = trees.enumerate_family("M", n)
         total = sum(len(words) for words in fibers.values())
-        if total != len(trees.enumerate_family("S", n)) or set(fibers) != set(
-                trees.enumerate_family("M", n)):
+        if total != math.factorial(n) or set(fibers) != set(keys):
             return SuiteResult("fibers", n_max, False, f"n={n}")
+        objs = dict(zip(keys, trees.all_bileveled(n)))
         for key, words in fibers.items():
-            obj = trees.parse_tree(key)
+            obj = objs[key]
             try:
-                posets.fiber_interval(n, key)
+                posets._fiber_interval(n, key, obj)
             except posets.CertificationError:
                 return SuiteResult("fibers", n_max, False, key)
             section = trees.render_perm(trees.section_word(obj))
@@ -76,7 +78,7 @@ def suite_tamari_oracle(n_max: int = 5) -> SuiteResult:
     for n in range(1, n_max + 1):
         tam, weak = posets.tamari(n), posets.weak_order(n)
         keys = tam.elements
-        objs = {k: trees.parse_tree(k) for k in keys}
+        objs = dict(zip(trees.enumerate_family("Y", n), trees.all_trees(n)))
         min_of = {k: trees.render_perm(trees.min_word(objs[k])) for k in keys}
         max_of = {k: trees.render_perm(trees.max_word(objs[k])) for k in keys}
         # bit j of row i: keys[i] <= keys[j] in the rotation order, between

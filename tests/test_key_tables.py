@@ -1,0 +1,179 @@
+"""The key tables built by construction against definitions written here.
+
+``enumerate_family`` joins tree keys from smaller ones and builds circled
+trees without validating them, ``weak_order`` and ``tamari`` build each cover
+as a key string, and ``avoids_pinned`` compares letters directly.  Each is
+checked against the parser (which validates), or against an oracle on tuples
+that imports nothing from ``multisym.posets``.
+"""
+
+import itertools
+import random
+import sys
+
+import pytest
+
+from multisym import posets, series, trees, verify
+from multisym.posets import tamari, weak_order
+from multisym.trees import (
+    _standardize,
+    all_bileveled,
+    all_trees,
+    avoids_pinned,
+    enumerate_family,
+    parse_tree,
+    render,
+    render_perm,
+)
+
+N_MAX = 8
+
+
+@pytest.mark.parametrize("family, objects, start", [
+    ("Y", all_trees, 0), ("M", all_bileveled, 1)])
+def test_keys_are_sorted_counted_and_name_their_objects(family, objects, start):
+    counts = series.counts(family, N_MAX)
+    for n in range(start, N_MAX + 1):
+        keys = enumerate_family(family, n)
+        objs = objects(n)
+        assert keys == sorted(keys)
+        assert len(keys) == len(objs) == counts[n]
+        for key, obj in zip(keys, objs):
+            assert render(obj) == key
+            # the parser validates, so this checks the unvalidated constructor
+            assert parse_tree(key) == obj
+
+
+def test_word_keys_are_the_rendered_permutations():
+    for n in range(N_MAX + 1):
+        words = itertools.permutations(range(1, n + 1))
+        assert enumerate_family("S", n) == sorted(render_perm(w) for w in words)
+
+
+def word_key(word):
+    return "".join(map(str, word))
+
+
+def weak_covers(n):
+    """Swap the values k and k + 1 of a word where k comes first."""
+    covers = set()
+    for word in itertools.permutations(range(1, n + 1)):
+        for k in range(1, n):
+            if word.index(k) < word.index(k + 1):
+                swapped = tuple(k + 1 if a == k else k if a == k + 1 else a for a in word)
+                covers.add((word_key(word), word_key(swapped)))
+    return covers
+
+
+def shapes(n):
+    """Planar trees on n nodes as nested pairs, the leaf being ()."""
+    if n == 0:
+        return [()]
+    return [(left, right) for k in range(n)
+            for left in shapes(k) for right in shapes(n - 1 - k)]
+
+
+def tree_key(t):
+    return "." if t == () else "(" + tree_key(t[0]) + tree_key(t[1]) + ")"
+
+
+def rotations(t):
+    """Every tree one right rotation ((A, B), C) -> (A, (B, C)) above t."""
+    if t == ():
+        return []
+    left, right = t
+    out = [(left[0], (left[1], right))] if left != () else []
+    out += [(sub, right) for sub in rotations(left)]
+    out += [(left, sub) for sub in rotations(right)]
+    return out
+
+
+def tamari_covers(n):
+    return {(tree_key(t), tree_key(r)) for t in shapes(n) for r in rotations(t)}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_weak_order_covers_match_adjacent_value_swaps(n):
+    assert weak_order(n).covers == weak_covers(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_tamari_covers_match_rotations_of_nested_pairs(n):
+    assert tamari(n).covers == tamari_covers(n)
+
+
+PINNED = {(1, 3, 4, 2), (4, 1, 3, 2), (3, 1, 4, 2)}
+
+
+def standardized(values):
+    order = sorted(values)
+    return tuple(order.index(a) + 1 for a in values)
+
+
+def avoids_pinned_oracle(word):
+    return all(standardized((word[0],) + triple) not in PINNED
+               for triple in itertools.combinations(word[1:], 3))
+
+
+def test_avoids_pinned_matches_standardization_on_every_short_word():
+    for n in range(8):
+        for word in itertools.permutations(range(1, n + 1)):
+            assert avoids_pinned(word) == avoids_pinned_oracle(word), word
+
+
+def test_avoids_pinned_and_standardize_on_random_long_words():
+    rng = random.Random(1414)
+    for _ in range(2000):
+        word = list(range(1, rng.randint(8, 12) + 1))
+        rng.shuffle(word)
+        word = tuple(word)
+        assert avoids_pinned(word) == avoids_pinned_oracle(word), word
+        # standardizing forgets gaps between letters
+        spread = tuple(3 * a + 7 for a in word)
+        assert _standardize(spread) == standardized(spread) == word
+
+
+# ---------------------------------------------------------------------------
+# no round trip through the parser or the renderer
+
+
+ROUND_TRIPS = ("render", "parse_tree", "parse_perm", "render_perm", "_check_bileveled")
+CACHED = (trees._trees, trees._bileveled, posets.weak_order, posets.tamari)
+
+
+@pytest.fixture
+def refuse(monkeypatch):
+    """Make the named helpers of ``trees`` raise, in every module that binds
+    them; the key tables and orders are rebuilt from empty caches, which are
+    left empty again afterwards."""
+    def patch(*names):
+        for name in names:
+            original = getattr(trees, name)
+
+            def fail(*args, name=name):
+                raise AssertionError(f"{name} called on a key built by construction")
+            for module in [m for key, m in sys.modules.items()
+                           if key == "multisym" or key.startswith("multisym.")]:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, fail)
+        for cached in CACHED:
+            cached.cache_clear()
+
+    yield patch
+    for cached in CACHED:
+        cached.cache_clear()
+
+
+def test_tables_and_orders_build_keys_without_round_trips(refuse):
+    refuse(*ROUND_TRIPS)
+    assert len(enumerate_family("Y", 6)) == 132
+    assert len(enumerate_family("M", 6)) == 322
+    assert len(weak_order(5)) == 120
+    assert len(tamari(6)) == 132
+
+
+def test_sweep_suites_take_the_objects_they_enumerated(refuse):
+    refuse("render", "parse_tree", "_check_bileveled")
+    assert verify.suite_fibers(5).passed
+    assert verify.suite_tamari_oracle(5).passed
