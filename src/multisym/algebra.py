@@ -14,7 +14,7 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import posets
 from .trees import (
@@ -30,7 +30,6 @@ from .trees import (
     min_word,
     parse_key,
     render,
-    render_key,
     render_perm,
     right_cuts,
     section_word,
@@ -144,6 +143,21 @@ def _word(family: str, key: str) -> tuple[int, ...]:
     return _WORD[family](parse_key(family, key))
 
 
+def _linear(terms, image) -> dict:
+    """The sum of ``c * image(key)`` over the ``(key, c)`` items of ``terms``,
+    each image given as (key, coefficient) items: every linear extension."""
+    out: dict = {}
+    for key, c in terms:
+        for y, d in image(key):
+            out[y] = out.get(y, 0) + c * d
+    return out
+
+
+def _tensor(left, right) -> list:
+    """The (key, coefficient) items of the tensor product of two item lists."""
+    return [((l, r), c * d) for l, c in left for r, d in right]
+
+
 def _frozen(terms: dict) -> tuple:
     """The items of ``terms`` with every key string interned."""
     return tuple((sys.intern(k) if isinstance(k, str) else tuple(map(sys.intern, k)), v)
@@ -239,11 +253,8 @@ def _basis_row(family: str, key: str, basis: str) -> list[tuple[str, int]]:
 
 
 def _convert(x: LinearCombo, basis: str) -> LinearCombo:
-    out: dict[str, int] = {}
-    for key, c in x.terms.items():
-        for y, d in _basis_row(x.family, key, basis):
-            out[y] = out.get(y, 0) + c * d
-    return LinearCombo(x.family, basis, out)
+    return LinearCombo(x.family, basis, _linear(
+        x.terms.items(), lambda key: _basis_row(x.family, key, basis)))
 
 
 def to_monomial(x: LinearCombo) -> LinearCombo:
@@ -264,21 +275,11 @@ def tensor_basis(t: TensorCombo, basis: str) -> TensorCombo:
     if (t.left_basis, t.right_basis) == (basis, basis):
         return t
     _require(t.left_basis == t.right_basis, "mixed-basis tensors are not produced")
-    rows: dict[tuple[str, str], list] = {}  # each factor key converted once
-
-    def row(family, key):
-        if (family, key) not in rows:
-            rows[family, key] = _basis_row(family, key, basis)
-        return rows[family, key]
-
-    out: dict[tuple[str, str], int] = {}
-    for (left, right), c in t.terms.items():
-        rp = row(t.right_family, right)
-        for lk, lc in row(t.left_family, left):
-            for rk, rc in rp:
-                pair = (lk, rk)
-                out[pair] = out.get(pair, 0) + c * lc * rc
-    return TensorCombo(t.left_family, t.right_family, basis, basis, out)
+    # each factor key converted once
+    left = {k: _basis_row(t.left_family, k, basis) for k in {l for l, _ in t.terms}}
+    right = {k: _basis_row(t.right_family, k, basis) for k in {r for _, r in t.terms}}
+    return TensorCombo(t.left_family, t.right_family, basis, basis, _linear(
+        t.terms.items(), lambda pair: _tensor(left[pair[0]], right[pair[1]])))
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +287,15 @@ def tensor_basis(t: TensorCombo, basis: str) -> TensorCombo:
 
 
 def apply_linear_map(name: str, x: LinearCombo) -> LinearCombo:
-    """Apply one of the induced maps key-wise on the fundamental basis."""
+    """Apply one of the induced maps key-wise on the fundamental basis: each
+    key's word projected to the target family, units sent to units."""
     _require(name in ("tau", "beta", "phi"), f"unknown map {name!r}")
-    source, target, func = MAPS[name]
+    source, target, _ = MAPS[name]
     _require(x.family == source, f"map {name} starts from family {source}")
     _require(x.basis == "F", "induced maps act on the fundamental basis")
-    out: dict[str, int] = {}
-    for key, c in x.terms.items():
-        if key == UNIT_KEY[source]:
-            image = UNIT_KEY[target]
-        else:
-            image = render_key(target, func(parse_key(source, key)))
-        out[image] = out.get(image, 0) + c
-    return LinearCombo(target, "F", out)
+    return LinearCombo(target, "F", _linear(x.terms.items(), lambda key: ((
+        UNIT_KEY[target] if key == UNIT_KEY[source]
+        else _PROJECT[target](_word(source, key)), 1),)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +310,8 @@ def coaction_monomial(b: str) -> TensorCombo:
 
 def _coaction_of(x: LinearCombo) -> TensorCombo:
     """The coaction extended linearly to a fundamental-basis combination."""
-    acc: dict[tuple[str, str], int] = {}
-    for key, c in x.terms.items():
-        for pair, d in coaction(key).terms.items():
-            acc[pair] = acc.get(pair, 0) + c * d
-    return TensorCombo("M", "Y", "F", "F", acc)
+    return TensorCombo("M", "Y", "F", "F", _linear(
+        x.terms.items(), partial(_deconcatenate, "M", "Y")))
 
 
 def coaction_monomial_transported(b: str) -> TensorCombo:
@@ -346,20 +340,18 @@ class ComparisonReport:
         return self.left.terms == self.right.terms
 
 
+def _act_componentwise(cuts) -> list:
+    """``m.y1 (x) y.y2`` for a coaction term ``(m, y)`` and a cut ``(y1, y2)``."""
+    (m, y), (y1, y2) = cuts
+    return _tensor(action_ysym(m, y1).terms.items(), product_fund("Y", y, y2).terms.items())
+
+
 def check_hopf_module(b: str, s: str) -> ComparisonReport:
     """Coaction of an action versus the componentwise action of a coproduct."""
-    rhs: dict[tuple[str, str], int] = {}
     cut_s = coproduct_fund("Y", s).terms.items()
-    for (m_key, y_key), c in coaction(b).terms.items():
-        for (y1, y2), d in cut_s:
-            left_part = action_ysym(m_key, y1)
-            right_part = product_fund("Y", y_key, y2)
-            for mk, mc in left_part.terms.items():
-                for yk, yc in right_part.terms.items():
-                    pair = (mk, yk)
-                    rhs[pair] = rhs.get(pair, 0) + c * d * mc * yc
-    return ComparisonReport(_coaction_of(action_ysym(b, s)),
-                            TensorCombo("M", "Y", "F", "F", rhs))
+    cuts = _tensor(coaction(b).terms.items(), cut_s)
+    return ComparisonReport(_coaction_of(action_ysym(b, s)), TensorCombo(
+        "M", "Y", "F", "F", _linear(cuts, _act_componentwise)))
 
 
 def check_fiber_monomial_sum(b: str) -> ComparisonReport:

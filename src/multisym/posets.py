@@ -437,19 +437,19 @@ def fiber_interval(n: int, b: BiLeveledTree | str) -> tuple[str, str]:
     """
     check_weak_size(n)
     key, obj = (b, parse_tree(b)) if isinstance(b, str) else (render(b), b)
-    return _fiber_interval(n, key, obj)
+    return _fiber_interval(n, key, fiber_min_word(obj))
 
 
-def _fiber_interval(n: int, key: str, b: BiLeveledTree) -> tuple[str, str]:
-    """``fiber_interval`` on a size checked already, for a tree ``b`` whose
-    key ``key`` is known."""
+def _fiber_interval(n: int, key: str, least: tuple[int, ...]) -> tuple[str, str]:
+    """``fiber_interval`` on a size checked already, for the tree of key
+    ``key`` whose closed-form minimal word ``least`` is known."""
     fiber = beta_fibers(n).get(key)
     if fiber is None:
         raise ValueError(f"{key!r} is not a bi-leveled key of size {n}")
     ends = weak_order(n).interval_ends(fiber)
     if ends is None:
         raise CertificationError(f"fiber of {key!r} is not an interval")
-    if ends[0] != render_perm(fiber_min_word(b)):
+    if ends[0] != render_perm(least):
         raise CertificationError(f"closed-form minimum disagrees on {key!r}")
     return ends
 

@@ -236,17 +236,14 @@ def render_perm(word: tuple[int, ...]) -> str:
 
 
 def parse_perm(text: str) -> tuple[int, ...]:
-    if text == "":
-        return ()
     try:
-        if "," in text:
-            word = tuple(int(a) for a in text.split(","))
-        else:
-            word = tuple(int(a) for a in text)
+        word = tuple(map(int, text.split(",") if "," in text else text))
     except ValueError:
         raise ParseError(f"not a permutation string: {text!r}") from None
     if sorted(word) != list(range(1, len(word) + 1)):
         raise ValidityError(f"not a bijection on 1..{len(word)}: {text!r}")
+    if render_perm(word) != text:  # int() also takes spaces, signs, "_" and other digits
+        raise ParseError(f"not a permutation string: {text!r}")
     return word
 
 
@@ -730,12 +727,12 @@ def right_cuts(b: BiLeveledTree) -> list[tuple[BiLeveledTree, PlanarTree]]:
 # sections of the bi-leveled projection
 
 
-def _fiber_word(b: BiLeveledTree, section: bool) -> tuple[int, ...]:
+def _fiber_word(b: BiLeveledTree, dec: ForestDecomposition, section: bool) -> tuple[int, ...]:
     """The base's minimal word on the top letters, each base letter followed
     by the word of the tree hanging after it on a block of low letters:
     minimal words on blocks from the left, or for the ``section`` maximal
-    words on blocks from the right (empty trees take empty blocks)."""
-    dec = forest_decomposition(b)
+    words on blocks from the right (empty trees take empty blocks); ``dec``
+    is the forest decomposition of ``b``."""
     free = b.size - dec.base.size  # letters below the base's
     word, used = [], 0
     for a, t in zip(_word(dec.base, free + 1, True), dec.hanging):
@@ -746,6 +743,12 @@ def _fiber_word(b: BiLeveledTree, section: bool) -> tuple[int, ...]:
     return tuple(word)
 
 
+def _fiber_words(b: BiLeveledTree) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(fiber_min_word(b), section_word(b))`` from one forest decomposition."""
+    dec = forest_decomposition(b)
+    return _fiber_word(b, dec, False), _fiber_word(b, dec, True)
+
+
 def section_word(b: BiLeveledTree) -> tuple[int, ...]:
     """The order-embedding section of the bi-leveled projection.
 
@@ -753,13 +756,13 @@ def section_word(b: BiLeveledTree) -> tuple[int, ...]:
     maximal words on letter blocks assigned bottom-up from the right
     (empty trees contribute empty blocks).
     """
-    return _fiber_word(b, True)
+    return _fiber_word(b, forest_decomposition(b), True)
 
 
 def fiber_min_word(b: BiLeveledTree) -> tuple[int, ...]:
     """The smallest word in the fiber of ``b``: minimal words everywhere,
     hanging blocks assigned left to right, base letters on top."""
-    return _fiber_word(b, False)
+    return _fiber_word(b, forest_decomposition(b), False)
 
 
 def _standardize(values: tuple[int, ...]) -> tuple[int, ...]:

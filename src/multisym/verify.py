@@ -46,12 +46,12 @@ def suite_fibers(n_max: int = 6) -> SuiteResult:
             return SuiteResult("fibers", n_max, False, f"n={n}")
         objs = dict(zip(keys, trees.all_bileveled(n)))
         for key, words in fibers.items():
-            obj = objs[key]
+            least, section = trees._fiber_words(objs[key])
             try:
-                posets._fiber_interval(n, key, obj)
+                posets._fiber_interval(n, key, least)
             except posets.CertificationError:
                 return SuiteResult("fibers", n_max, False, key)
-            section = trees.render_perm(trees.section_word(obj))
+            section = trees.render_perm(section)
             if section not in words:
                 return SuiteResult("fibers", n_max, False, key)
             avoiders = [w for w in words

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from multisym import algebra
+from multisym import algebra, posets, trees
 from multisym.algebra import (
     LinearCombo,
     TensorCombo,
@@ -21,6 +22,7 @@ from multisym.algebra import (
     key_degree,
     product_fund,
     product_msym,
+    tensor_basis,
     tensor_to_json,
     to_monomial,
 )
@@ -29,9 +31,11 @@ from multisym.trees import (
     enumerate_family,
     is_coinvariant_shape,
     max_word,
+    parse_key,
     parse_perm,
     parse_tree,
     render,
+    render_key,
     render_perm,
     tree_of_perm,
 )
@@ -43,6 +47,9 @@ def beta_key(word: str) -> str:
 
 def tau_key(word: str) -> str:
     return render(tree_of_perm(parse_perm(word)))
+
+
+UNITS = {"S": "", "Y": ".", "M": "1"}
 
 
 def fund(family, key):
@@ -253,6 +260,37 @@ def test_monomial_tree_property():
                 assert image.terms == {}
 
 
+@pytest.mark.parametrize("name", ["tau", "beta", "phi"])
+def test_induced_maps_match_the_maps_on_objects(name):
+    # every key of size <= 6 against the map on parsed objects, one key at a
+    # time, and then all of them at once, with the units
+    source, target, func = trees.MAPS[name]
+    start = 1 if source == "M" else 0
+    keys = [key for n in range(start, 7) for key in enumerate_family(source, n)]
+    expected = {}
+    for i, key in enumerate(keys, 1):
+        image = (UNITS[target] if key == UNITS[source]
+                 else render_key(target, func(parse_key(source, key))))
+        assert apply_linear_map(name, fund(source, key)).terms == {image: 1}, key
+        expected[image] = expected.get(image, 0) + i
+    combo = LinearCombo(source, "F", dict(zip(keys, range(1, len(keys) + 1))))
+    assert apply_linear_map(name, combo).terms == expected
+    assert apply_linear_map(name, fund(source, UNITS[source])).terms == {UNITS[target]: 1}
+
+
+def test_induced_maps_add_coefficients_of_keys_with_one_image():
+    # 1423 and 2413 share their tree, 3142 and 3241 their circled tree
+    x = LinearCombo("S", "F", {"": 4, "1": -1, "1423": 2, "2413": 3, "3142": 5, "3241": -7})
+    assert apply_linear_map("tau", x).terms == {
+        ".": 4, "(..)": -1, "((..)((..).))": 5, "((.(..))(..))": -2}
+    assert apply_linear_map("beta", x).terms == {
+        "1": 4, "{..}": -1, "{{..}{{..}.}}": 2, "{{..}{(..).}}": 3, "{{.(..)}(..)}": -2}
+    circled = LinearCombo("M", "F", {"1": 3, "{{..}{{..}.}}": 2, "{{..}{(..).}}": -5,
+                                     "{{..}(..)}": 1, "{{..}{..}}": 1})
+    assert apply_linear_map("phi", circled).terms == {
+        ".": 3, "((..)((..).))": -3, "((..)(..))": 2}
+
+
 def test_induced_map_family_mismatch():
     with pytest.raises(ValueError):
         apply_linear_map("tau", fund("Y", "(..)"))
@@ -428,3 +466,48 @@ def test_bad_keys_raise_on_every_call(f, args):
     for _ in range(2):
         with pytest.raises(ValueError):
             f(*args)
+
+
+# --- no tree object built or rendered on the linear maps ------------------------
+
+OBJECT_PATH = ("render", "render_key", "tree_of_perm", "bileveled_of_perm", "strip_circles")
+CACHED = (algebra.key_degree, algebra._shuffle, algebra._deconcatenate, posets.weak_order,
+          posets.tamari, posets.bileveled_order, trees._trees, trees._bileveled,
+          trees.beta_fibers)
+
+
+@pytest.fixture
+def refuse_objects(monkeypatch):
+    """Make the object path of ``trees`` raise, in every module that binds
+    it; every cache is emptied before and after, so nothing is served from
+    a table built with it."""
+    for name in OBJECT_PATH:
+        original = getattr(trees, name)
+
+        def fail(*args, name=name):
+            raise AssertionError(f"{name} called on a linear map")
+        for module in [m for key, m in sys.modules.items()
+                       if key == "multisym" or key.startswith("multisym.")]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, fail)
+    for cached in CACHED:
+        cached.cache_clear()
+    yield
+    for cached in CACHED:
+        cached.cache_clear()
+
+
+def test_linear_maps_run_on_words_and_keys(refuse_objects):
+    keys = {family: [key for n in range(1, 5) for key in enumerate_family(family, n)]
+            for family in ("S", "Y", "M")}
+    for name, source in (("tau", "S"), ("beta", "S"), ("phi", "M")):
+        x = LinearCombo(source, "F", dict.fromkeys(keys[source] + [UNITS[source]], 1))
+        assert apply_linear_map(name, x)
+    for family, family_keys in keys.items():
+        for key in family_keys + [UNITS[family]]:
+            assert from_monomial(to_monomial(fund(family, key))).terms == {key: 1}
+    for key in keys["M"]:
+        tensor = coaction(key)
+        assert tensor_basis(tensor_basis(tensor, "M"), "F") == tensor
+        assert check_fiber_monomial_sum(key).passed

@@ -202,6 +202,10 @@ def test_bad_inputs_exit_two(capsys):
                   "--key", "{..}"],
                  ["convert", "--family", "S", "--from", "M", "--to", "M",
                   "--key", "zz"],
+                 ["convert", "--family", "S", "--from", "F", "--to", "M",
+                  "--key", "1,2"],
+                 ["convert", "--family", "S", "--from", "F", "--to", "F",
+                  "--key", "1,2"],
                  ["verify", "fibers", "--n-max", "-3"],
                  ["verify", "galois", "--n-max", "0"],
                  ["verify", "hopf-module", "--s-max", "-1"]):

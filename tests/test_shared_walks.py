@@ -287,18 +287,27 @@ def test_conversions_match_the_per_pair_loop(family):
     assert got.terms == {y: v for y, v in expected.items() if v}
 
 
+# mixed signs, several right keys per left key, and units on both sides
+MIXED_TENSOR = {("1", "."): 2, ("1", "((..).)"): -3, ("{..}", "."): 7,
+                ("{{..}.}", "(..)"): 3, ("{{..}.}", "((..).)"): -2, ("{{..}.}", "(.(..))"): 5,
+                ("{{..}{..}}", "."): -4, ("{{..}{..}}", "(..)"): 1, ("{.(..)}", "((..).)"): -1}
+
+
 @pytest.mark.parametrize("basis", ["F", "M"])
 def test_tensor_conversion_is_the_product_of_the_factor_rows(basis):
-    # the coaction in the other basis converted into ``basis``
-    for n in range(1, 5):
-        for key in posets.poset_for("M", n).elements:
-            tensor = algebra.coaction(key)
-            if basis == "F":
-                tensor = algebra.tensor_basis(tensor, "M")
-            expected = {}
-            for (left, right), c in tensor.terms.items():
-                for lk, lc in ref_row("M", left, basis).items():
-                    for rk, rc in ref_row("Y", right, basis).items():
-                        expected[lk, rk] = expected.get((lk, rk), 0) + c * lc * rc
-            got = algebra.tensor_basis(tensor, basis)
-            assert got.terms == {pair: v for pair, v in expected.items() if v}, key
+    # the coaction, and one tensor written here, in the other basis
+    # converted into ``basis``
+    tensors = [algebra.coaction(key) for n in range(1, 5)
+               for key in posets.poset_for("M", n).elements]
+    if basis == "F":
+        tensors = [algebra.tensor_basis(tensor, "M") for tensor in tensors]
+    other = "M" if basis == "F" else "F"
+    tensors.append(algebra.TensorCombo("M", "Y", other, other, MIXED_TENSOR))
+    for tensor in tensors:
+        expected = {}
+        for (left, right), c in tensor.terms.items():
+            for lk, lc in ref_row("M", left, basis).items():
+                for rk, rc in ref_row("Y", right, basis).items():
+                    expected[lk, rk] = expected.get((lk, rk), 0) + c * lc * rc
+        got = algebra.tensor_basis(tensor, basis)
+        assert got.terms == {pair: v for pair, v in expected.items() if v}, tensor

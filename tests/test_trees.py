@@ -202,6 +202,10 @@ def test_perm_strings():
         parse_perm("122")
     with pytest.raises(ParseError):
         parse_perm("1a2")
+    # int() reads these, but none is the canonical string of its word
+    for text in ("1,2", "1, 2", "2,+1", "1\u0662", "1_0", " 12", "1,2,3,4,5,6,7,8,9,1_0"):
+        with pytest.raises(ParseError):
+            parse_perm(text)
 
 
 # --- enumeration ------------------------------------------------------------

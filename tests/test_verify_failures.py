@@ -43,17 +43,21 @@ def test_fibers_reports_a_fiber_that_fails_certification(monkeypatch, capsys):
     # the fiber of this key is the single word 132; a reversed "minimum" is
     # not in it, so the closed-form check inside fiber_interval must fail
     target = trees.parse_tree("{{..}{..}}")
-    fiber_min_word = posets.fiber_min_word
-    monkeypatch.setattr(posets, "fiber_min_word", lambda b: (
-        fiber_min_word(b)[::-1] if b == target else fiber_min_word(b)))
+    fiber_words = trees._fiber_words
+
+    def reversed_minimum(b):
+        least, section = fiber_words(b)
+        return (least[::-1] if b == target else least), section
+
+    monkeypatch.setattr(trees, "_fiber_words", reversed_minimum)
     assert_fails_with(capsys, ["fibers", "--n-max", "4"], "fibers", 4, "{{..}{..}}")
 
 
 def test_fibers_reports_a_section_word_outside_its_fiber(monkeypatch, capsys):
     target, other = (trees.parse_tree(k) for k in ("{{.(..)}.}", "{.(.(..))}"))
-    section_word = trees.section_word
-    monkeypatch.setattr(trees, "section_word", lambda b: section_word(
-        other if b == target else b))
+    fiber_words = trees._fiber_words
+    monkeypatch.setattr(trees, "_fiber_words", lambda b: (
+        fiber_words(b)[0], fiber_words(other if b == target else b)[1]))
     assert_fails_with(capsys, ["fibers", "--n-max", "4"], "fibers", 4, "{{.(..)}.}")
 
 
