@@ -19,9 +19,12 @@ from functools import lru_cache, partial
 from . import posets
 from .trees import (
     MAPS,
+    _PLAIN,
     _beta_key,
     _interleave,
+    _prefix_keys,
     _standardize,
+    _suffix_keys,
     _tau_key,
     all_bileveled,
     beta_fibers,
@@ -29,9 +32,7 @@ from .trees import (
     is_coinvariant_shape,
     min_word,
     parse_key,
-    render,
     render_perm,
-    right_cuts,
     section_word,
 )
 
@@ -123,20 +124,24 @@ def tensor_to_json(t: TensorCombo) -> str:
 # Every key stands for one word of its fiber: a word for itself, a tree for
 # its minimal word, a circled tree for its section word.  Every product and
 # action is a shifted shuffle of two such words (``_shuffle``), and every
-# coproduct and the coaction a deconcatenation of one (``_deconcatenate``);
-# each resulting word is projected straight to a key, with no tree built (the
-# circled unit is handled before the kernel and the coaction's cuts leave a
-# letter on the left, so ``_PROJECT["M"]`` never sees the empty word).  The
-# projections depend only on the relative order of the letters, and carry the
-# shuffle and the deconcatenation to grafting and cutting (Malvenuto &
-# Reutenauer 1995 for words, Loday & Ronco 1998 for trees).  Which variant a
-# map needs is read off the two families it names.
+# coproduct and the coaction a deconcatenation of one (``_deconcatenate``).
+# The projections depend only on the relative order of the letters, and carry
+# the shuffle and the deconcatenation to grafting and cutting (Malvenuto &
+# Reutenauer 1995 for words, Loday & Ronco 1998 for trees), so the tree
+# kernels never project a whole resulting word: each factor is walked once,
+# and each term's key is joined from the pieces.  A deconcatenation pairs the
+# key of each prefix with that of each suffix; a shuffle puts the keys of the
+# segments of one word in place of the leaves of the other's key, circled as
+# the term's first letter decides.  Which variant a map needs is read off the
+# two families it names.  A word key is its own word, so the word family
+# still projects each term.
 # The two kernels are pure functions of their string arguments, memoised on
 # them as a tuple of (key, coefficient) items with interned keys; each public
 # map checks its arguments first and builds a fresh combination on every call.
 
 _WORD = {"S": lambda w: w, "Y": min_word, "M": section_word}
 _PROJECT = {"S": lambda w: render_perm(_standardize(w)), "Y": _tau_key, "M": _beta_key}
+_CIRCLE, _UNCIRCLE = str.maketrans("()", "{}"), str.maketrans("{}", "()")
 
 
 def _word(family: str, key: str) -> tuple[int, ...]:
@@ -164,6 +169,25 @@ def _frozen(terms: dict) -> tuple:
                  for k, v in terms.items())
 
 
+def _segments(u: tuple[int, ...], circle_from: int) -> list[list[str]]:
+    """``segments[i][j - i]`` is the key of ``u[i:j]``: one prefix walk per start."""
+    return [_prefix_keys(u[i:], circle_from) for i in range(len(u))] + [["."]]
+
+
+def _grafts(segments: list[list[str]], base: str, cut_lists):
+    """For each tuple of cuts, the key of that interleaving: ``base``, the
+    key of the raised word, with its leaves, left to right, replaced by the
+    keys of the segments between the cuts (``segments`` as ``_segments``
+    builds them)."""
+    end, (head, *gaps) = len(segments) - 1, base.split(".")
+    for cuts in cut_lists:
+        parts, i = [head], 0
+        for j, gap in zip(cuts + (end,), gaps):
+            parts += (segments[i][j - i], gap)
+            i = j
+        yield "".join(parts)
+
+
 @lru_cache(maxsize=None)
 def _shuffle(left: str, x: str, right: str, y: str) -> tuple:
     """Every interleaving of the word of ``x`` with that of ``y`` raised above
@@ -172,22 +196,39 @@ def _shuffle(left: str, x: str, right: str, y: str) -> tuple:
     key's, so that letter stays the least circled one and every node of the
     tree is circled."""
     u, v = _word(left, x), _word(right, y)
-    words = (_interleave(u, cuts, v) for cuts in
-             itertools.combinations_with_replacement(range(len(u) + 1), len(v)))
-    if left != right:
-        words = (w for w in words if w[0] <= len(u))
-    return _frozen(Counter(map(_PROJECT[left], words)))
+    n, p = len(u), len(v)
+    every = itertools.combinations_with_replacement(range(n + 1), p)
+    if left == "S":
+        return _frozen(Counter(render_perm(_standardize(_interleave(u, cuts, v)))
+                               for cuts in every))
+    if left == "Y":
+        return _frozen(Counter(_grafts(_segments(u, _PLAIN), _tau_key(v), every)))
+    # the word starts with u[0] if the first cut is positive: u is circled from
+    # u[0], and all of v, raised above u, is circled
+    segments, base = _segments(u, u[0]), _PROJECT[right](v)
+    keys = _grafts(segments, base.translate(_CIRCLE),
+                   itertools.combinations_with_replacement(range(1, n + 1), p))
+    if right == "M":
+        # else it starts with v[0]: u is plain, and v is circled from v[0]
+        plain = [[key.translate(_UNCIRCLE) for key in row] for row in segments]
+        keys = itertools.chain(keys, _grafts(plain, base, (
+            (0, *cuts) for cuts in itertools.combinations_with_replacement(range(n + 1), p - 1))))
+    return _frozen(Counter(keys))
 
 
 @lru_cache(maxsize=None)
 def _deconcatenate(left: str, right: str, x: str) -> tuple:
     """Every single cut of the word of ``x``, the two pieces projected to
-    ``left`` and ``right`` keys.  The coaction (``left != right``) starts at
-    the first letter, since a circled tree is never empty."""
-    w, project_left, project_right = _word(left, x), _PROJECT[left], _PROJECT[right]
-    start = 0 if left == right else 1
-    return _frozen(Counter((project_left(w[:k]), project_right(w[k:]))
-                           for k in range(start, len(w) + 1)))
+    ``left`` and ``right`` keys: a prefix and a suffix walk for the trees.
+    The coaction (``left != right``) starts at the first letter, since a
+    circled tree is never empty."""
+    w = _word(left, x)
+    if left == "S":
+        project = _PROJECT["S"]
+        cuts = ((project(w[:k]), project(w[k:])) for k in range(len(w) + 1))
+    else:
+        cuts = zip(_prefix_keys(w, _PLAIN if left == "Y" else w[0]), _suffix_keys(w))
+    return _frozen(Counter(itertools.islice(cuts, 0 if left == right else 1, None)))
 
 
 def product_fund(family: str, x: str, y: str) -> LinearCombo:
@@ -303,9 +344,20 @@ def apply_linear_map(name: str, x: LinearCombo) -> LinearCombo:
 
 
 def coaction_monomial(b: str) -> TensorCombo:
-    """Closed form of the coaction in the monomial bases: one term per right cut."""
-    cuts = right_cuts(parse_key("M", b))
-    return TensorCombo("M", "Y", "M", "M", Counter((render(l), render(r)) for l, r in cuts))
+    """Closed form of the coaction in the monomial bases: one term per right
+    cut.  With w the section word, a cut takes off a suffix ``w[k:]`` below
+    ``w[k - 1]`` (the right subtree of a right-spine node) while the suffix
+    has no circled letter, the empty suffix included."""
+    w = _word("M", b)
+    prefixes, suffixes = _prefix_keys(w, w[0]), _suffix_keys(w)
+    cuts, top = {}, 0  # top: the largest letter of w[k:]
+    for k in range(len(w), 0, -1):
+        if top >= w[0]:
+            break
+        if w[k - 1] > top:
+            cuts[prefixes[k], suffixes[k]] = 1
+        top = max(top, w[k - 1])
+    return TensorCombo("M", "Y", "M", "M", cuts)
 
 
 def _coaction_of(x: LinearCombo) -> TensorCombo:

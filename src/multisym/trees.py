@@ -10,6 +10,7 @@ subtree), and all circled-node bookkeeping is done on those indices.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -252,11 +253,12 @@ def render_composition(parts: tuple[int, ...]) -> str:
 
 
 def parse_composition(text: str) -> tuple[int, ...]:
-    body = text[1:-1] if text.startswith("(") and text.endswith(")") else text
     try:
-        parts = tuple(int(a) for a in body.split(","))
+        parts = tuple(int(a) for a in text[1:-1].split(","))
     except ValueError:
         raise ParseError(f"not a composition string: {text!r}") from None
+    if render_composition(parts) != text:  # int() also takes spaces, signs, "_" and other digits
+        raise ParseError(f"not a composition string: {text!r}")
     if any(a < 1 for a in parts):
         raise ValidityError(f"composition parts must be positive: {text!r}")
     return parts
@@ -429,9 +431,8 @@ def enumerate_family(family: str, n: int) -> list[str]:
 # the three basic maps
 
 
-def _cartesian(word: tuple[int, ...], leaf, join):
-    """The decreasing tree of ``word`` (largest letter at the root), built
-    from ``leaf`` by ``join(letter, left, right)`` at each node.
+def tree_of_perm(word: tuple[int, ...]) -> PlanarTree:
+    """The unique tree whose node order the word extends (largest value at the root).
 
     One left-to-right pass: the stack holds the right spine built so far,
     letters decreasing, each with its finished left part; a letter takes
@@ -439,39 +440,77 @@ def _cartesian(word: tuple[int, ...], leaf, join):
     """
     stack = []
     for a in word:
-        below = leaf
+        below = LEAF
         while stack and stack[-1][0] < a:
             b, left = stack.pop()
-            below = join(b, left, below)
+            below = PlanarTree(left, below)
         stack.append((a, below))
-    out = leaf
+    out = LEAF
     while stack:
-        b, left = stack.pop()
-        out = join(b, left, out)
+        out = PlanarTree(stack.pop()[1], out)
     return out
 
 
-def tree_of_perm(word: tuple[int, ...]) -> PlanarTree:
-    """The unique tree whose node order the word extends (largest value at the root)."""
-    return _cartesian(word, LEAF, lambda a, left, right: PlanarTree(left, right))
+# Keys are joined as strings by one stack walk, with no tree built.  The
+# decreasing tree of a word is its right spine, each spine node with the
+# finished part on its left; its key is the spine's heads (opening bracket
+# and left part), a leaf, and the spine's closing brackets, deepest first.
+
+_PLAIN = sys.maxsize  # a threshold above every letter: nothing circled
+_MIRROR = str.maketrans("()", ")(")
 
 
-# The keys of tau and beta, joined as strings by the same walk, with no tree
-# built; each join copies its two parts, so a key costs its length times its
-# depth in copied characters.
+def _prefix_keys(word: tuple[int, ...], circle_from: int = _PLAIN,
+                 every: bool = True) -> list[str]:
+    """The key of the decreasing tree of each prefix of ``word``, shortest
+    (the empty one, ``"."``) first, a node circled iff its letter is at least
+    ``circle_from``; with ``every`` false, only the key of ``word`` itself.
+
+    A letter takes the spine nodes with smaller letters as its left part:
+    their heads, a leaf and as many closing brackets.
+    """
+    keys = ["."]
+    heads, letters, closes = [], [_PLAIN], ""  # letters[0] is a sentinel
+    for a in word:
+        if letters[-1] < a:
+            i = len(heads) - 1  # heads[i] is the head of letters[i + 1]
+            while letters[i] < a:
+                i -= 1
+            popped = len(heads) - i
+            left = "".join(heads[i:]) + "." + closes[:popped]
+            del heads[i:], letters[i + 1:]
+            closes = closes[popped:]
+        else:
+            left = "."
+        if a >= circle_from:
+            heads.append("{" + left)
+            closes = "}" + closes
+        else:
+            heads.append("(" + left)
+            closes = ")" + closes
+        letters.append(a)
+        if every:
+            keys.append("".join(heads) + "." + closes)
+    return keys if every else ["".join(heads) + "." + closes]
+
+
+def _suffix_keys(word: tuple[int, ...]) -> list[str]:
+    """The plain key of the decreasing tree of each suffix of ``word``,
+    longest first: the prefix keys of the reversed word, each mirrored (read
+    backwards with its brackets swapped)."""
+    return [key[::-1].translate(_MIRROR) for key in reversed(_prefix_keys(word[::-1]))]
+
 
 def _tau_key(word: tuple[int, ...]) -> str:
     """``render(tree_of_perm(word))``."""
-    return _cartesian(word, ".", lambda a, left, right: "(" + left + right + ")")
+    return _prefix_keys(word, _PLAIN, False)[0]
 
 
 def _beta_key(word: tuple[int, ...]) -> str:
     """``render(bileveled_of_perm(word))`` for a nonempty word, valid by
     construction: the first letter is circled, its children are smaller, and
     a circled node's parent is a larger letter, so circled too."""
-    first = word[0]
-    return _cartesian(word, ".", lambda a, left, right:
-                      "{" + left + right + "}" if a >= first else "(" + left + right + ")")
+    return _prefix_keys(word, word[0], False)[0]
 
 
 def fiber_of_tree(t: PlanarTree) -> list[tuple[int, ...]]:
@@ -537,7 +576,7 @@ def bileveled_of_perm(word: tuple[int, ...]) -> BiLeveledTree:
     if not word:
         raise ValidityError("the empty word has no bi-leveled image")
     circled = frozenset(i + 1 for i, a in enumerate(word) if a >= word[0])
-    return BiLeveledTree(tree_of_perm(word), circled)
+    return _crowned(tree_of_perm(word), circled)  # valid by construction, see _beta_key
 
 
 def strip_circles(b: BiLeveledTree) -> PlanarTree:

@@ -511,3 +511,9 @@ def test_linear_maps_run_on_words_and_keys(refuse_objects):
         tensor = coaction(key)
         assert tensor_basis(tensor_basis(tensor, "M"), "F") == tensor
         assert check_fiber_monomial_sum(key).passed
+
+
+def test_monomial_coaction_runs_on_words_and_keys(refuse_objects):
+    for n in range(1, 6):
+        for key in enumerate_family("M", n):
+            assert coaction_monomial(key).terms[key, "."] == 1

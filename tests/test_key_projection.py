@@ -1,14 +1,31 @@
-"""The key projections ``trees._tau_key`` and ``trees._beta_key`` against a
-recursive argmax key builder written here: the largest letter is the root,
-the letters before it the left subtree and those after it the right one.
-The oracle imports nothing from ``multisym.trees``."""
+"""The key projections ``trees._tau_key`` and ``trees._beta_key``, the prefix
+and suffix walks under them, and the algebra kernels that graft their keys,
+against a recursive argmax key builder written here: the largest letter is
+the root, the letters before it the left subtree and those after it the
+right one.  The oracle imports nothing from ``multisym.trees``."""
 
 import inspect
 import itertools
+import math
 import random
 import sys
+from collections import Counter
 
-from multisym.trees import _beta_key, _tau_key, parse_key, render
+import pytest
+
+from multisym import algebra, trees
+from multisym.trees import (
+    _PLAIN,
+    _beta_key,
+    _prefix_keys,
+    _suffix_keys,
+    _tau_key,
+    bileveled_of_perm,
+    enumerate_family,
+    parse_key,
+    render,
+    right_cuts,
+)
 
 
 def oracle_key(word, circle_from=None):
@@ -65,3 +82,202 @@ def test_monotone_words_give_the_combs():
     assert on_a_short_stack(_beta_key, up) == "{" * n + "." + ".}" * n
     assert on_a_short_stack(_tau_key, down) == "(." * n + "." + ")" * n
     assert on_a_short_stack(_beta_key, down) == "{." + "(." * (n - 1) + "." + ")" * (n - 1) + "}"
+
+
+def test_bileveled_of_perm_builds_the_tree_the_parser_validates():
+    # bileveled_of_perm skips validation; the parser runs it
+    for n in range(1, 8):
+        for word in itertools.permutations(range(1, n + 1)):
+            assert bileveled_of_perm(word) == parse_key("M", _beta_key(word))
+
+
+# --- every prefix and every suffix --------------------------------------------
+
+
+def check_slices(word, circle_from=None):
+    """The prefix walk against the oracle on every prefix, and the suffix
+    walk, which circles nothing, on every suffix."""
+    threshold = _PLAIN if circle_from is None else circle_from
+    n = len(word)
+    assert _prefix_keys(word, threshold) == [oracle_key(word[:k], circle_from)
+                                             for k in range(n + 1)]
+    assert _prefix_keys(word, threshold, False) == [oracle_key(word, circle_from)]
+    assert _suffix_keys(word) == [oracle_key(word[k:]) for k in range(n + 1)]
+
+
+def test_prefix_and_suffix_keys_of_every_word_up_to_seven_letters():
+    for n in range(8):
+        for word in itertools.permutations(range(1, n + 1)):
+            check_slices(word)
+            if word:
+                check_slices(word, word[0])
+
+
+def test_prefix_and_suffix_keys_of_random_words_of_eight_to_twenty_letters():
+    rng = random.Random(1616)
+    for _ in range(300):
+        word = list(range(1, rng.randint(8, 20) + 1))
+        rng.shuffle(word)
+        check_slices(tuple(word))
+        check_slices(tuple(word), word[0])
+        check_slices(tuple(word), rng.randint(1, len(word)))
+
+
+def test_prefix_and_suffix_walks_on_monotone_words():
+    # the increasing word's prefixes and suffixes are left combs, the
+    # decreasing word's right combs; only the first letter of the decreasing
+    # word is >= its first letter
+    n = 5000
+    up, down = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
+    prefixes = on_a_short_stack(_prefix_keys, up)
+    assert all(key == "(" * k + "." + ".)" * k for k, key in enumerate(prefixes))
+    prefixes = on_a_short_stack(_prefix_keys, down, n)
+    assert prefixes[0] == "."
+    assert all(key == "{." + "(." * (k - 1) + "." + ")" * (k - 1) + "}"
+               for k, key in enumerate(prefixes) if k)
+    suffixes = on_a_short_stack(_suffix_keys, up)
+    assert all(key == "(" * (n - k) + "." + ".)" * (n - k) for k, key in enumerate(suffixes))
+    suffixes = on_a_short_stack(_suffix_keys, down)
+    assert all(key == "(." * (n - k) + "." + ")" * (n - k) for k, key in enumerate(suffixes))
+
+
+# --- the kernels against projecting every term ----------------------------------
+
+
+def interleave(u, cuts, v):
+    """``u`` cut at ``cuts``, one letter of ``v`` raised above ``u`` in each cut."""
+    word, pos = [], 0
+    for cut, a in zip(cuts, v):
+        word += [*u[pos:cut], a + len(u)]
+        pos = cut
+    return tuple(word) + u[pos:]
+
+
+def reference_shuffle(left, x, right, y):
+    """Every interleaving projected with the oracle; a tree acting on a
+    circled key keeps the words that start with a letter of the circled key."""
+    u, v = algebra._word(left, x), algebra._word(right, y)
+    keys = Counter()
+    for cuts in itertools.combinations_with_replacement(range(len(u) + 1), len(v)):
+        w = interleave(u, cuts, v)
+        if left == "Y":
+            keys[oracle_key(w)] += 1
+        elif left == right or w[0] <= len(u):
+            keys[oracle_key(w, w[0])] += 1
+    return dict(keys)
+
+
+def reference_deconcatenate(left, right, x):
+    """Every cut projected with the oracle; the coaction's left piece is nonempty."""
+    w = algebra._word(left, x)
+    first = w[0] if left == "M" else None
+    return dict(Counter((oracle_key(w[:k], first), oracle_key(w[k:]))
+                        for k in range(0 if left == right else 1, len(w) + 1)))
+
+
+def check_kernels(x_family, x, y_family, y):
+    shuffle = algebra._shuffle.__wrapped__
+    assert dict(shuffle(x_family, x, y_family, y)) == reference_shuffle(x_family, x, y_family, y)
+
+
+KERNEL_PAIRS = [("Y", "Y"), ("M", "M"), ("M", "Y")]
+
+
+@pytest.mark.parametrize("x_family, y_family", KERNEL_PAIRS)
+def test_shuffle_matches_projecting_every_interleaving(x_family, y_family):
+    start = 1 if y_family == "M" else 0
+    for n in range(1 if x_family == "M" else 0, 6):
+        for p in range(start, 4):
+            for x in enumerate_family(x_family, n):
+                for y in enumerate_family(y_family, p):
+                    check_kernels(x_family, x, y_family, y)
+
+
+def test_deconcatenate_matches_projecting_every_cut():
+    deconcatenate = algebra._deconcatenate.__wrapped__
+    for n in range(7):
+        for x in enumerate_family("Y", n):
+            assert dict(deconcatenate("Y", "Y", x)) == reference_deconcatenate("Y", "Y", x)
+        for x in enumerate_family("M", n) if n else ():
+            assert dict(deconcatenate("M", "Y", x)) == reference_deconcatenate("M", "Y", x)
+
+
+def random_key(rng, family, n):
+    word = list(range(1, n + 1))
+    rng.shuffle(word)
+    return oracle_key(word, word[0] if family == "M" and word else None)
+
+
+def test_kernels_on_random_keys_up_to_fourteen_nodes():
+    rng = random.Random(1617)
+    deconcatenate = algebra._deconcatenate.__wrapped__
+    for _ in range(60):
+        for x_family, y_family in KERNEL_PAIRS:
+            x = random_key(rng, x_family, rng.randint(1, 14))
+            y = random_key(rng, y_family, rng.randint(1, 3))
+            check_kernels(x_family, x, y_family, y)
+        for family, right in (("Y", "Y"), ("M", "Y")):
+            x = random_key(rng, family, rng.randint(1, 14))
+            assert dict(deconcatenate(family, right, x)) == reference_deconcatenate(
+                family, right, x)
+
+
+def reference_coaction_monomial(b):
+    """One term per right cut, on tree objects."""
+    return {(render(rest), render(sub)): 1 for rest, sub in right_cuts(parse_key("M", b))}
+
+
+def test_monomial_coaction_matches_the_right_cuts():
+    for n in range(1, 8):
+        for b in enumerate_family("M", n):
+            assert algebra.coaction_monomial(b).terms == reference_coaction_monomial(b)
+    rng = random.Random(1618)
+    for _ in range(300):
+        b = random_key(rng, "M", rng.randint(8, 14))
+        assert algebra.coaction_monomial(b).terms == reference_coaction_monomial(b)
+
+
+# --- one walk per factor, not one per term -------------------------------------
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The arguments of every call of ``trees._prefix_keys``, through every
+    module that binds it; the kernels' memos are emptied before and after."""
+    calls, original = [], trees._prefix_keys
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    for module in [m for key, m in sys.modules.items()
+                   if key == "multisym" or key.startswith("multisym.")]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+    memos = (algebra._shuffle, algebra._deconcatenate)
+    for memo in memos:
+        memo.cache_clear()
+    yield calls
+    for memo in memos:
+        memo.cache_clear()
+
+
+def test_kernels_walk_each_factor_once_not_each_term(walks):
+    rng = random.Random(1619)
+    n, p = 6, 4
+    for x_family, y_family in KERNEL_PAIRS:
+        x, y = random_key(rng, x_family, n), random_key(rng, y_family, p)
+        walks.clear()
+        terms = algebra._shuffle(x_family, x, y_family, y)
+        total = sum(c for _, c in terms)
+        # the action keeps the words that start with a letter of x
+        assert total == (math.comb(n + p, p) if x_family == y_family else math.comb(n + p - 1, p))
+        assert len(walks) <= n + 2
+    for family in ("Y", "M"):
+        x = random_key(rng, family, 10)
+        walks.clear()
+        algebra._deconcatenate(family, "Y", x)
+        assert len(walks) <= 2
+    walks.clear()
+    algebra.coaction_monomial(random_key(rng, "M", 10))
+    assert len(walks) <= 2

@@ -649,11 +649,14 @@ def test_composition_keys_round_trip():
             key = trees.render_key("Q", parts)
             assert key == "(" + ",".join(map(str, parts)) + ")"
             assert trees.parse_key("Q", key) == parts
-    assert trees.parse_key("Q", "1,2") == trees.parse_composition("(1,2)") == (1, 2)
+    assert trees.parse_key("Q", "(1,2)") == trees.parse_composition("(1,2)") == (1, 2)
 
 
 @pytest.mark.parametrize("bad, error", [
-    ("()", ParseError), ("(a)", ParseError), ("(0,1)", ValidityError)])
+    ("()", ParseError), ("(a)", ParseError), ("(0,1)", ValidityError),
+    # int() takes spaces, signs, "_" and other digits: only the canonical text parses
+    ("(1, 2)", ParseError), ("1,2", ParseError), ("(+1,2)", ParseError),
+    ("(1_0)", ParseError), ("(1\u0662)", ParseError)])
 def test_composition_keys_rejected(bad, error):
     with pytest.raises(error, match="composition"):
         trees.parse_key("Q", bad)
