@@ -18,10 +18,12 @@ from functools import lru_cache, partial
 
 from . import posets
 from .trees import (
-    MAPS,
     _PLAIN,
+    _UNCIRCLE,
+    MAPS,
     _beta_key,
     _interleave,
+    _key_word,
     _prefix_keys,
     _standardize,
     _suffix_keys,
@@ -30,10 +32,8 @@ from .trees import (
     beta_fibers,
     enumerate_family,
     is_coinvariant_shape,
-    min_word,
     parse_key,
     render_perm,
-    section_word,
 )
 
 UNIT_KEY = {"S": "", "Y": ".", "M": "1"}
@@ -49,10 +49,8 @@ def _require(condition: bool, message: str) -> None:
 
 @lru_cache(maxsize=None)
 def key_degree(family: str, key: str) -> int:
-    if family == "M" and key == UNIT_KEY["M"]:
-        return 0
-    obj = parse_key(family, key)
-    return len(obj) if family == "S" else obj.size
+    _check_names((family,), ())
+    return 0 if family == "M" and key == UNIT_KEY["M"] else len(_word(family, key))
 
 
 def _check_names(families, bases) -> None:
@@ -122,7 +120,8 @@ def tensor_to_json(t: TensorCombo) -> str:
 # fundamental-basis structure maps
 #
 # Every key stands for one word of its fiber: a word for itself, a tree for
-# its minimal word, a circled tree for its section word.  Every product and
+# its minimal word, a circled tree for its section word, read off the key's
+# brackets (``trees._key_word``) with no tree built.  Every product and
 # action is a shifted shuffle of two such words (``_shuffle``), and every
 # coproduct and the coaction a deconcatenation of one (``_deconcatenate``).
 # The projections depend only on the relative order of the letters, and carry
@@ -135,17 +134,45 @@ def tensor_to_json(t: TensorCombo) -> str:
 # the term's first letter decides.  Which variant a map needs is read off the
 # two families it names.  A word key is its own word, so the word family
 # still projects each term.
+# A tree key is checked by a walk the kernels run anyway: the last prefix key
+# of its word equals the key exactly when the key is canonical.
 # The two kernels are pure functions of their string arguments, memoised on
 # them as a tuple of (key, coefficient) items with interned keys; each public
 # map checks its arguments first and builds a fresh combination on every call.
 
-_WORD = {"S": lambda w: w, "Y": min_word, "M": section_word}
 _PROJECT = {"S": lambda w: render_perm(_standardize(w)), "Y": _tau_key, "M": _beta_key}
-_CIRCLE, _UNCIRCLE = str.maketrans("()", "{}"), str.maketrans("{}", "()")
+_CIRCLE = str.maketrans("()", "{}")
+
+
+def _read(family: str, key: str) -> tuple[int, ...]:
+    """The word of ``key``, unchecked for a tree key: each caller checks it
+    with a walk (``_check``).  Text the scan cannot place reads as the empty
+    word, which walks back to ``"."`` only and is no circled key's word."""
+    if family == "S":
+        return parse_key("S", key)
+    try:
+        word = _key_word(key, family == "M")
+    except IndexError:
+        word = ()
+    if family == "M" and not word:
+        _check(family, key, None)
+    return word
+
+
+def _check(family: str, key: str, walked: str | None) -> None:
+    """Raise the error ``parse_key`` gives ``key`` unless it is ``walked``,
+    the key its word walks back to: a canonical key is, and no other text."""
+    if walked != key:
+        parse_key(family, key)
+        raise AssertionError(f"{key!r} does not read back as itself")
 
 
 def _word(family: str, key: str) -> tuple[int, ...]:
-    return _WORD[family](parse_key(family, key))
+    """The word of ``key``, checked by one walk of its own."""
+    word = _read(family, key)
+    if family != "S":
+        _check(family, key, _PROJECT[family](word))
+    return word
 
 
 def _linear(terms, image) -> dict:
@@ -195,23 +222,30 @@ def _shuffle(left: str, x: str, right: str, y: str) -> tuple:
     (``left != right``) keeps the words whose first letter is the circled
     key's, so that letter stays the least circled one and every node of the
     tree is circled."""
-    u, v = _word(left, x), _word(right, y)
-    n, p = len(u), len(v)
-    every = itertools.combinations_with_replacement(range(n + 1), p)
+    u = _read(left, x)
     if left == "S":
+        v = _read(right, y)
+        every = itertools.combinations_with_replacement(range(len(u) + 1), len(v))
         return _frozen(Counter(render_perm(_standardize(_interleave(u, cuts, v)))
                                for cuts in every))
+    # the first segment walk checks x, and the walk of v checks y, which is
+    # then the base of every graft
+    segments = _segments(u, _PLAIN if left == "Y" else u[0])
+    _check(left, x, segments[0][-1])
+    v = _read(right, y)
+    _check(right, y, _PROJECT[right](v))
+    n, p = len(u), len(v)
     if left == "Y":
-        return _frozen(Counter(_grafts(_segments(u, _PLAIN), _tau_key(v), every)))
+        return _frozen(Counter(_grafts(
+            segments, y, itertools.combinations_with_replacement(range(n + 1), p))))
     # the word starts with u[0] if the first cut is positive: u is circled from
     # u[0], and all of v, raised above u, is circled
-    segments, base = _segments(u, u[0]), _PROJECT[right](v)
-    keys = _grafts(segments, base.translate(_CIRCLE),
+    keys = _grafts(segments, y.translate(_CIRCLE),
                    itertools.combinations_with_replacement(range(1, n + 1), p))
     if right == "M":
         # else it starts with v[0]: u is plain, and v is circled from v[0]
         plain = [[key.translate(_UNCIRCLE) for key in row] for row in segments]
-        keys = itertools.chain(keys, _grafts(plain, base, (
+        keys = itertools.chain(keys, _grafts(plain, y, (
             (0, *cuts) for cuts in itertools.combinations_with_replacement(range(n + 1), p - 1))))
     return _frozen(Counter(keys))
 
@@ -222,12 +256,14 @@ def _deconcatenate(left: str, right: str, x: str) -> tuple:
     ``left`` and ``right`` keys: a prefix and a suffix walk for the trees.
     The coaction (``left != right``) starts at the first letter, since a
     circled tree is never empty."""
-    w = _word(left, x)
+    w = _read(left, x)
     if left == "S":
         project = _PROJECT["S"]
         cuts = ((project(w[:k]), project(w[k:])) for k in range(len(w) + 1))
     else:
-        cuts = zip(_prefix_keys(w, _PLAIN if left == "Y" else w[0]), _suffix_keys(w))
+        prefixes = _prefix_keys(w, _PLAIN if left == "Y" else w[0])
+        _check(left, x, prefixes[-1])
+        cuts = zip(prefixes, _suffix_keys(w))
     return _frozen(Counter(itertools.islice(cuts, 0 if left == right else 1, None)))
 
 
@@ -252,8 +288,7 @@ def product_msym(x: str, y: str) -> LinearCombo:
     unit = UNIT_KEY["M"]
     if unit in (x, y):
         other = y if x == unit else x
-        if other != unit:
-            parse_key("M", other)
+        key_degree("M", other)  # refuses any other text than a circled key
         return LinearCombo("M", "F", {other: 1})
     return LinearCombo("M", "F", dict(_shuffle("M", x, "M", y)))
 
@@ -348,8 +383,10 @@ def coaction_monomial(b: str) -> TensorCombo:
     cut.  With w the section word, a cut takes off a suffix ``w[k:]`` below
     ``w[k - 1]`` (the right subtree of a right-spine node) while the suffix
     has no circled letter, the empty suffix included."""
-    w = _word("M", b)
-    prefixes, suffixes = _prefix_keys(w, w[0]), _suffix_keys(w)
+    w = _read("M", b)
+    prefixes = _prefix_keys(w, w[0])
+    _check("M", b, prefixes[-1])
+    suffixes = _suffix_keys(w)
     cuts, top = {}, 0  # top: the largest letter of w[k:]
     for k in range(len(w), 0, -1):
         if top >= w[0]:

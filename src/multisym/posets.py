@@ -7,7 +7,7 @@ per-element down-set and up-set bitmasks over those indices, so the least
 element of a set, if it has one, is its highest bit.  The certificates are
 local: Möbius rows come from joins of upper covers (Rota's crosscut
 theorem), filled one row mu(x, -) at a time on first use; the lattice test
-joins every element with the join-irreducibles only; and an adjunction is
+joins the upper covers of each element only; and an adjunction is
 checked through its unit and counit, on the index tables a map pair builds
 once.  Every report names the first failure in the sorted key order.
 """
@@ -20,20 +20,20 @@ from functools import lru_cache
 from heapq import heappop, heappush
 
 from .trees import (
+    _UNCIRCLE,
     BiLeveledTree,
     PlanarTree,
     _beta_key,
+    _key_word,
     _tau_key,
     all_bileveled,
     all_trees,
     beta_fibers,
     enumerate_family,
     fiber_min_word,
-    max_word,
-    parse_tree,
+    parse_key,
     render,
     render_perm,
-    section_word,
 )
 
 
@@ -268,31 +268,19 @@ class FinitePoset:
         return self._names[0] if self.elements and self._down[0] == full else None
 
     def is_lattice(self) -> bool:
-        """Joins with join-irreducibles only: a finite poset with a bottom is a
-        lattice when x v j exists for every x and every j with exactly one
-        lower cover.  By induction on y along a linear extension: a y covering
-        y1 != y2 is y1 v y2 (that join lies below y and above y1, and is not
-        y1), so x v y = (x v y1) v y2; and a finite join-semilattice with a
-        bottom is a lattice (Davey & Priestley, Thm 2.31, dually).  The empty
-        poset passes."""
-        n = len(self.elements)
-        if not n:
+        """A finite poset with a bottom and a top is a lattice when every two
+        upper covers of one element have a join (Björner, Edelman & Ziegler
+        1990, Lemma 2.1).  The empty poset passes."""
+        if not self.elements:
             return True
-        up = self._up
-        if up[-1] != (1 << n) - 1:
+        if self.minimum() is None or self.maximum() is None:
             return False
-        lower = [0] * n
+        up = self._up
         for covers in self._upper_covers:
-            for j in covers:
-                lower[j] += 1
-        for j, count in enumerate(lower):
-            if count != 1:
-                continue
-            above_j = up[j]
-            for above_x in up:
-                # the candidate for x v j is the highest index above both; an
-                # empty common up-set gives index -1, whose up-set is not empty
-                common = above_x & above_j
+            for a, b in itertools.combinations(covers, 2):
+                # the candidate for a v b is the highest index above both,
+                # which the top makes nonempty
+                common = up[a] & up[b]
                 if up[common.bit_length() - 1] != common:
                     return False
         return True
@@ -391,10 +379,6 @@ def tamari(n: int) -> FinitePoset:
     return FinitePoset(keys, covers)
 
 
-# the key of a circled tree's shape
-_UNCIRCLE = str.maketrans("{}", "()")
-
-
 @lru_cache(maxsize=None)
 def bileveled_order(n: int) -> FinitePoset:
     """Weak order on M_n: compare underlying shapes in the rotation order and
@@ -436,7 +420,7 @@ def fiber_interval(n: int, b: BiLeveledTree | str) -> tuple[str, str]:
     match the closed-form minimal word; otherwise ``CertificationError``.
     """
     check_weak_size(n)
-    key, obj = (b, parse_tree(b)) if isinstance(b, str) else (render(b), b)
+    key, obj = (b, parse_key("M", b)) if isinstance(b, str) else (render(b), b)
     return _fiber_interval(n, key, fiber_min_word(obj))
 
 
@@ -640,21 +624,21 @@ def check_interval_retract(pair: PosetMapPair) -> RetractReport:
 # ready-made pairs
 
 
-def _section_pair(n: int, order, project, objects, section) -> PosetMapPair:
+def _section_pair(n: int, order, project) -> PosetMapPair:
     """The weak order on S_n onto ``order(n)``: each word forward to the key
-    ``project(word)``, and each of ``objects(n)``, the objects behind the
-    target's keys in key order, back to the word ``section(obj)``."""
+    ``project(word)``, and each key of the target back to the section word
+    read off it (a tree's maximal word)."""
     P, Q = weak_order(n), order(n)
     forward = {render_perm(w): project(w) for w in itertools.permutations(range(1, n + 1))}
-    backward = {t: render_perm(section(obj)) for t, obj in zip(Q.elements, objects(n))}
+    backward = {t: render_perm(_key_word(t, True)) for t in Q.elements}
     return PosetMapPair(P, Q, forward, backward)
 
 
 def tree_section_pair(n: int) -> PosetMapPair:
     """Weak order onto the rotation order via the tree map, back via maximal words."""
-    return _section_pair(n, tamari, _tau_key, all_trees, max_word)
+    return _section_pair(n, tamari, _tau_key)
 
 
 def bileveled_section_pair(n: int) -> PosetMapPair:
     """Weak order onto the bi-leveled order, back via the section word."""
-    return _section_pair(n, bileveled_order, _beta_key, all_bileveled, section_word)
+    return _section_pair(n, bileveled_order, _beta_key)

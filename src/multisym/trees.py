@@ -455,9 +455,13 @@ def tree_of_perm(word: tuple[int, ...]) -> PlanarTree:
 # decreasing tree of a word is its right spine, each spine node with the
 # finished part on its left; its key is the spine's heads (opening bracket
 # and left part), a leaf, and the spine's closing brackets, deepest first.
+# The inverse reads a key's word straight off its brackets (``_key_word``):
+# the walk of that word gives the key back, circled from its first letter
+# for a circled key.
 
 _PLAIN = sys.maxsize  # a threshold above every letter: nothing circled
 _MIRROR = str.maketrans("()", ")(")
+_UNCIRCLE = str.maketrans("{}", "()")  # a circled key to its shape's key
 
 
 def _prefix_keys(word: tuple[int, ...], circle_from: int = _PLAIN,
@@ -513,6 +517,40 @@ def _beta_key(word: tuple[int, ...]) -> str:
     return _prefix_keys(word, word[0], False)[0]
 
 
+def _key_word(key: str, section: bool = False) -> tuple[int, ...]:
+    """The word of a tree key, read off its brackets in one scan: the minimal
+    word of a plain key, the least fiber word of a circled one, or with
+    ``section`` the maximal and the section word.  Openers come in pre-order,
+    closers in post-order; a node takes the next in-order place once its left
+    subtree closes, and the letter #( + rank of its ``}`` if circled, else the
+    rank of its ``)`` (with ``section``, #( + 1 - rank of its ``(``).  Other
+    text reads as a word that does not walk back to it, or raises IndexError."""
+    plain = key.count("(")
+    word = [0] * (plain + key.count("{"))
+    places, letters = [], []  # per open node: its place (-1 until set) and letter
+    leaves, closed, opened, crowned = 0, 0, plain + 1, plain
+    for ch in key:
+        if ch == ".":
+            leaves += 1
+        elif ch == "(" or ch == "{":
+            opened -= ch == "("
+            places.append(-1)
+            letters.append(opened)
+            continue
+        elif ch == ")":
+            closed += 1
+            letter = letters.pop()
+            word[places.pop()] = letter if section else closed
+        else:
+            crowned += 1
+            letters.pop()
+            word[places.pop()] = crowned
+        # a subtree closed: if it is a left one, its parent takes the next place
+        if places and places[-1] < 0:
+            places[-1] = leaves - 1
+    return tuple(word)
+
+
 def fiber_of_tree(t: PlanarTree) -> list[tuple[int, ...]]:
     """All linear extensions of the node order of ``t``, as words by position.
 
@@ -543,32 +581,14 @@ def fiber_of_tree(t: PlanarTree) -> list[tuple[int, ...]]:
     return sorted(done[0])
 
 
-def _word(t: PlanarTree, low: int, left_low: bool) -> tuple[int, ...]:
-    """A word of ``t`` on the letters ``low``, ``low + 1``, ...: each node takes
-    the top letter of its subtree's block, and its left subtree the low part
-    of the rest if ``left_low``, else the high part."""
-    word, stack = [0] * t.size, [(t, 0, low)]
-    while stack:
-        t, pos, low = stack.pop()
-        if t.is_leaf:
-            continue
-        k, rest = t.left.size, t.size - 1
-        word[pos + k] = low + rest
-        if left_low:
-            stack += ((t.left, pos, low), (t.right, pos + k + 1, low + k))
-        else:
-            stack += ((t.left, pos, low + rest - k), (t.right, pos + k + 1, low))
-    return tuple(word)
-
-
 def min_word(t: PlanarTree) -> tuple[int, ...]:
     """The smallest (231-avoiding) word mapping to ``t``: left subtrees take low letters."""
-    return _word(t, 1, True)
+    return _key_word(render(t))
 
 
 def max_word(t: PlanarTree) -> tuple[int, ...]:
     """The largest (132-avoiding) word mapping to ``t``: left subtrees take high letters."""
-    return _word(t, 1, False)
+    return _key_word(render(t), True)
 
 
 def bileveled_of_perm(word: tuple[int, ...]) -> BiLeveledTree:
@@ -600,31 +620,15 @@ def beta_fibers(n: int) -> MappingProxyType:
 
 
 def forest_decomposition(b: BiLeveledTree) -> ForestDecomposition:
-    """Split ``b`` into its circled base and the uncircled trees hanging above it.
-
-    One pre-order walk from the (circled) root: an uncircled subtree becomes
-    the next slot and a leaf of the base, and a circled node waits on the
-    stack below its two sides until both are built.
-    """
-    slots: list[PlanarTree] = []
-    built: list[PlanarTree] = []
-    stack = [(b.tree, 0)]
-    while stack:
-        item = stack.pop()
-        if item is None:
-            right = built.pop()
-            built.append(PlanarTree(built.pop(), right))
-            continue
-        t, offset = item
-        root = offset + t.left.size + 1 if not t.is_leaf else None
-        if root not in b.circled:
-            slots.append(t)
-            built.append(LEAF)
-            continue
-        stack += (None, (t.right, root), (t.left, offset))
-    if slots[0].size != 0:
-        raise ValidityError("slot above leaf 1 of the base must be empty")
-    return ForestDecomposition(built[0], tuple(slots[1:]))
+    """Split ``b`` into its circled base and the uncircled trees hanging above
+    it, read off its least fiber word: the base takes the top letters, each
+    followed by the word of the tree hanging after it."""
+    word = fiber_min_word(b)
+    free = b.size - len(b.circled)  # letters below the base's
+    starts = [i for i, a in enumerate(word) if a > free]
+    ends = starts[1:] + [len(word)]
+    return ForestDecomposition(tree_of_perm(tuple(word[i] for i in starts)), tuple(
+        tree_of_perm(word[i + 1:j]) for i, j in zip(starts, ends)))
 
 
 def compose_decomposition(dec: ForestDecomposition) -> BiLeveledTree:
@@ -704,7 +708,8 @@ def graft(forest, base: PlanarTree) -> PlanarTree:
     # the pieces' minimal words on consecutive low blocks, cut between pieces
     word, cuts = [], []
     for t in pieces:
-        word += _word(t, len(word) + 1, True)
+        shift = len(word)
+        word += [a + shift for a in min_word(t)]
         cuts.append(len(word))
     return tree_of_perm(_interleave(word, cuts[:-1], min_word(base)))
 
@@ -766,42 +771,17 @@ def right_cuts(b: BiLeveledTree) -> list[tuple[BiLeveledTree, PlanarTree]]:
 # sections of the bi-leveled projection
 
 
-def _fiber_word(b: BiLeveledTree, dec: ForestDecomposition, section: bool) -> tuple[int, ...]:
-    """The base's minimal word on the top letters, each base letter followed
-    by the word of the tree hanging after it on a block of low letters:
-    minimal words on blocks from the left, or for the ``section`` maximal
-    words on blocks from the right (empty trees take empty blocks); ``dec``
-    is the forest decomposition of ``b``."""
-    free = b.size - dec.base.size  # letters below the base's
-    word, used = [], 0
-    for a, t in zip(_word(dec.base, free + 1, True), dec.hanging):
-        low = free - used - t.size + 1 if section else used + 1
-        used += t.size
-        word.append(a)
-        word += _word(t, low, not section)
-    return tuple(word)
-
-
-def _fiber_words(b: BiLeveledTree) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``(fiber_min_word(b), section_word(b))`` from one forest decomposition."""
-    dec = forest_decomposition(b)
-    return _fiber_word(b, dec, False), _fiber_word(b, dec, True)
-
-
 def section_word(b: BiLeveledTree) -> tuple[int, ...]:
-    """The order-embedding section of the bi-leveled projection.
-
-    The base takes the top letters via its minimal word; hanging trees take
-    maximal words on letter blocks assigned bottom-up from the right
-    (empty trees contribute empty blocks).
-    """
-    return _fiber_word(b, forest_decomposition(b), True)
+    """The order-embedding section of the bi-leveled projection: the base's
+    minimal word on the top letters, hanging trees' maximal words on blocks
+    assigned from the right."""
+    return _key_word(render(b), True)
 
 
 def fiber_min_word(b: BiLeveledTree) -> tuple[int, ...]:
     """The smallest word in the fiber of ``b``: minimal words everywhere,
     hanging blocks assigned left to right, base letters on top."""
-    return _fiber_word(b, forest_decomposition(b), False)
+    return _key_word(render(b))
 
 
 def _standardize(values: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from multisym import posets, trees
@@ -13,3 +15,29 @@ def refuse_enumeration(monkeypatch):
                          (trees, "beta_fibers"), (posets, "beta_fibers"),
                          (posets, "all_trees"), (posets, "all_bileveled")):
         monkeypatch.setattr(module, name, fail)
+
+
+@pytest.fixture
+def rebind(monkeypatch):
+    """``rebind(replacements, caches)`` binds each replacement, given by
+    name, in place of that name of ``trees`` in every ``multisym`` module
+    that binds it, and empties ``caches`` then and again after the test, so
+    that no table built before or under the patch is served."""
+    cleared = []
+
+    def patch(replacements, caches=()):
+        modules = [m for key, m in sys.modules.items()
+                   if key == "multisym" or key.startswith("multisym.")]
+        for name, replacement in replacements.items():
+            original = getattr(trees, name)
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, replacement)
+        for cache in caches:
+            cache.cache_clear()
+        cleared.extend(caches)
+
+    yield patch
+    for cache in cleared:
+        cache.cache_clear()

@@ -1,5 +1,5 @@
+import itertools
 import json
-import sys
 
 import pytest
 
@@ -468,34 +468,66 @@ def test_bad_keys_raise_on_every_call(f, args):
             f(*args)
 
 
+@pytest.mark.parametrize("family", ["Q", "X"])
+def test_key_degree_refuses_an_unknown_family(family):
+    with pytest.raises(ValueError) as exc:
+        key_degree(family, "(1)")
+    assert str(exc.value) == f"unknown family {family!r}"
+
+
+def outcome(f, *args):
+    """The class and message of what ``f(*args)`` raises, or None."""
+    try:
+        f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# each call reads the text as a key of the family named first
+TEXT_CALLS = [
+    ("M", coaction),
+    ("M", coaction_monomial),
+    ("Y", lambda text: product_fund("Y", text, "(..)")),
+    ("Y", lambda text: product_fund("Y", "(..)", text)),
+    ("M", lambda text: action_ysym(text, "(..)")),
+    ("Y", lambda text: action_ysym("{..}", text)),
+    ("M", lambda text: product_msym(text, "{..}")),
+    ("M", lambda text: product_msym("{..}", text)),
+    ("Y", lambda text: key_degree("Y", text)),
+    ("M", lambda text: key_degree("M", text)),
+]
+
+
+def test_every_short_text_fails_as_the_parser_fails():
+    # the algebra reads a key off its brackets and checks it by walking its
+    # word back; a text that is not a key must raise what parse_key raises
+    for length in range(7):
+        for text in map("".join, itertools.product(".(){}x", repeat=length)):
+            expected = {family: outcome(parse_key, family, text) for family in "YM"}
+            for family, call in TEXT_CALLS:
+                assert outcome(call, text) == expected[family], (family, text)
+
+
 # --- no tree object built or rendered on the linear maps ------------------------
 
-OBJECT_PATH = ("render", "render_key", "tree_of_perm", "bileveled_of_perm", "strip_circles")
+OBJECT_PATH = ("render", "render_key", "parse_tree", "tree_of_perm", "bileveled_of_perm",
+               "strip_circles", "forest_decomposition")
 CACHED = (algebra.key_degree, algebra._shuffle, algebra._deconcatenate, posets.weak_order,
           posets.tamari, posets.bileveled_order, trees._trees, trees._bileveled,
           trees.beta_fibers)
 
 
 @pytest.fixture
-def refuse_objects(monkeypatch):
+def refuse_objects(rebind):
     """Make the object path of ``trees`` raise, in every module that binds
     it; every cache is emptied before and after, so nothing is served from
     a table built with it."""
-    for name in OBJECT_PATH:
-        original = getattr(trees, name)
-
-        def fail(*args, name=name):
+    def failing(name):
+        def fail(*args):
             raise AssertionError(f"{name} called on a linear map")
-        for module in [m for key, m in sys.modules.items()
-                       if key == "multisym" or key.startswith("multisym.")]:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, fail)
-    for cached in CACHED:
-        cached.cache_clear()
-    yield
-    for cached in CACHED:
-        cached.cache_clear()
+        return fail
+    rebind({name: failing(name) for name in OBJECT_PATH}, CACHED)
 
 
 def test_linear_maps_run_on_words_and_keys(refuse_objects):

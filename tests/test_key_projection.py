@@ -153,10 +153,17 @@ def interleave(u, cuts, v):
     return tuple(word) + u[pos:]
 
 
+def word_of(family, key):
+    """The word a tree key stands for, read by ``trees._key_word`` alone (its
+    own tests are in test_shared_walks.py): the algebra checks each key by
+    walking its word with the projections under test here."""
+    return trees._key_word(key, family == "M")
+
+
 def reference_shuffle(left, x, right, y):
     """Every interleaving projected with the oracle; a tree acting on a
     circled key keeps the words that start with a letter of the circled key."""
-    u, v = algebra._word(left, x), algebra._word(right, y)
+    u, v = word_of(left, x), word_of(right, y)
     keys = Counter()
     for cuts in itertools.combinations_with_replacement(range(len(u) + 1), len(v)):
         w = interleave(u, cuts, v)
@@ -169,7 +176,7 @@ def reference_shuffle(left, x, right, y):
 
 def reference_deconcatenate(left, right, x):
     """Every cut projected with the oracle; the coaction's left piece is nonempty."""
-    w = algebra._word(left, x)
+    w = word_of(left, x)
     first = w[0] if left == "M" else None
     return dict(Counter((oracle_key(w[:k], first), oracle_key(w[k:]))
                         for k in range(0 if left == right else 1, len(w) + 1)))
@@ -241,7 +248,7 @@ def test_monomial_coaction_matches_the_right_cuts():
 
 
 @pytest.fixture
-def walks(monkeypatch):
+def walks(rebind):
     """The arguments of every call of ``trees._prefix_keys``, through every
     module that binds it; the kernels' memos are emptied before and after."""
     calls, original = [], trees._prefix_keys
@@ -249,17 +256,8 @@ def walks(monkeypatch):
     def counted(*args):
         calls.append(args)
         return original(*args)
-    for module in [m for key, m in sys.modules.items()
-                   if key == "multisym" or key.startswith("multisym.")]:
-        for attr, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, attr, counted)
-    memos = (algebra._shuffle, algebra._deconcatenate)
-    for memo in memos:
-        memo.cache_clear()
-    yield calls
-    for memo in memos:
-        memo.cache_clear()
+    rebind({"_prefix_keys": counted}, (algebra._shuffle, algebra._deconcatenate))
+    return calls
 
 
 def test_kernels_walk_each_factor_once_not_each_term(walks):

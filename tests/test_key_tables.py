@@ -9,7 +9,6 @@ that imports nothing from ``multisym.posets``.
 
 import itertools
 import random
-import sys
 
 import pytest
 
@@ -142,27 +141,15 @@ CACHED = (trees._trees, trees._bileveled, posets.weak_order, posets.tamari)
 
 
 @pytest.fixture
-def refuse(monkeypatch):
+def refuse(rebind):
     """Make the named helpers of ``trees`` raise, in every module that binds
     them; the key tables and orders are rebuilt from empty caches, which are
     left empty again afterwards."""
-    def patch(*names):
-        for name in names:
-            original = getattr(trees, name)
-
-            def fail(*args, name=name):
-                raise AssertionError(f"{name} called on a key built by construction")
-            for module in [m for key, m in sys.modules.items()
-                           if key == "multisym" or key.startswith("multisym.")]:
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, fail)
-        for cached in CACHED:
-            cached.cache_clear()
-
-    yield patch
-    for cached in CACHED:
-        cached.cache_clear()
+    def failing(name):
+        def fail(*args):
+            raise AssertionError(f"{name} called on a key built by construction")
+        return fail
+    return lambda *names: rebind({name: failing(name) for name in names}, CACHED)
 
 
 def test_tables_and_orders_build_keys_without_round_trips(refuse):
@@ -174,6 +161,6 @@ def test_tables_and_orders_build_keys_without_round_trips(refuse):
 
 
 def test_sweep_suites_take_the_objects_they_enumerated(refuse):
-    refuse("render", "parse_tree", "_check_bileveled")
+    refuse("render", "parse_tree", "_check_bileveled", "forest_decomposition")
     assert verify.suite_fibers(5).passed
     assert verify.suite_tamari_oracle(5).passed

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,7 @@ from multisym.posets import (
     weak_order,
 )
 from multisym.trees import (
+    ValidityError,
     bileveled_of_perm,
     enumerate_family,
     fiber_of_tree,
@@ -267,6 +269,60 @@ def test_join_irreducible_lattice_test_matches_meets_on_random_posets(case):
     assert P.is_lattice() == meets_reference(P)
 
 
+def lattice_by_join_irreducibles(P):
+    """The former global lattice test, kept as a reference: with a bottom, a
+    lattice when x v j exists for every x and every j with exactly one lower
+    cover (a y covering y1 != y2 is y1 v y2, so x v y = (x v y1) v y2; and a
+    finite join-semilattice with a bottom is a lattice)."""
+    n = len(P.elements)
+    if not n:
+        return True
+    up = P._up
+    if up[-1] != (1 << n) - 1:
+        return False
+    lower = [0] * n
+    for covers in P._upper_covers:
+        for j in covers:
+            lower[j] += 1
+    for j, count in enumerate(lower):
+        if count != 1:
+            continue
+        for above_x in up:
+            # the candidate for x v j is the highest index above both; an
+            # empty common up-set gives index -1, whose up-set is not empty
+            common = above_x & up[j]
+            if up[common.bit_length() - 1] != common:
+                return False
+    return True
+
+
+def test_local_lattice_test_matches_join_irreducibles_on_the_orders():
+    orders = ([weak_order(n) for n in range(1, 7)] + [tamari(n) for n in range(1, 8)]
+              + [bileveled_order(n) for n in range(1, 7)])
+    for P in orders + [FinitePoset(*order) for order, _ in EXAMPLES]:
+        assert P.is_lattice() == lattice_by_join_irreducibles(P)
+
+
+def random_bounded_poset(rng):
+    """A random relation on up to eight elements pointing up the alphabet,
+    with a bottom and a top adjoined."""
+    names = "abcdefgh"[:rng.randint(1, 8)]
+    density = rng.random()
+    relation = {(x, y) for x, y in itertools.combinations(names, 2) if rng.random() < density}
+    relation |= {("0", x) for x in names} | {(x, "z") for x in names}
+    return FinitePoset(["0", *names, "z"], relation)
+
+
+def test_local_lattice_test_matches_join_irreducibles_on_random_bounded_posets():
+    rng = random.Random(1990)
+    verdicts = []
+    for _ in range(1500):
+        P = random_bounded_poset(rng)
+        verdicts.append(P.is_lattice())
+        assert verdicts[-1] == lattice_by_join_irreducibles(P)
+    assert sum(verdicts) and not all(verdicts)  # both kinds occur
+
+
 def test_crosscut_falls_back_where_a_join_is_missing():
     # in the bowtie, a and b have two minimal upper bounds, so the row of 0
     # comes from the recurrence; the rows of a and b still come from joins
@@ -484,6 +540,14 @@ def test_fiber_sizes_partition_words():
 def test_fiber_interval_rejects_unknown_keys():
     with pytest.raises(ValueError):
         fiber_interval(3, "{{..}.}")  # a size-2 key queried at size 3
+
+
+def test_fiber_interval_refuses_a_plain_tree_as_the_parser_does():
+    with pytest.raises(ValidityError) as parsed:
+        trees.parse_key("M", "(.(..))")
+    with pytest.raises(ValidityError) as queried:
+        fiber_interval(3, "(.(..))")
+    assert str(queried.value) == str(parsed.value)
 
 
 # --- map pairs and certificates ----------------------------------------------

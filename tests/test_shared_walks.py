@@ -1,13 +1,16 @@
-"""Differential tests for the fiber words, the right cuts and the change of
-basis, against reference forms written here.
+"""Differential tests for the fiber words, the key reader under them, the
+right cuts and the change of basis, against reference forms written here.
 
 Trees are nested pairs here (``None`` for a leaf, ``(left, right)`` for a
 node); the only things taken from ``trees`` are the tree types, the leaf
 and the routines under test.  Every tree and circled tree up to seven nodes is
-checked, and so are seeded random words of 8 to 30 letters.
+checked, and so are seeded random words of 8 to 30 letters (1 to 60 for the
+key reader).
 """
 
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -16,6 +19,7 @@ from multisym.trees import (
     LEAF,
     BiLeveledTree,
     PlanarTree,
+    _key_word,
     fiber_min_word,
     max_word,
     min_word,
@@ -227,6 +231,57 @@ def test_fiber_words_match_the_relabel_and_interleave_form(n):
 def test_fiber_words_match_on_random_circled_trees():
     for t, circled in random_circled():
         check_fiber_words(t, circled)
+
+
+def key_of(t, circled, offset=0):
+    """The key of ``t`` with the in-order nodes ``circled`` in braces."""
+    if t is None:
+        return "."
+    root = offset + size(t[0]) + 1
+    inner = key_of(t[0], circled, offset) + key_of(t[1], circled, root)
+    return "{" + inner + "}" if root in circled else "(" + inner + ")"
+
+
+def check_key_word(t, circled):
+    plain = key_of(t, frozenset())
+    assert _key_word(plain) == ref_min_word(t)
+    assert _key_word(plain, True) == ref_max_word(t)
+    if circled:
+        key = key_of(t, circled)
+        assert _key_word(key) == ref_fiber_word(t, circled, section=False)
+        assert _key_word(key, True) == ref_fiber_word(t, circled, section=True)
+
+
+@pytest.mark.parametrize("n", range(N_MAX + 1))
+def test_key_word_reads_the_reference_words_off_every_key(n):
+    for t in shapes(n):
+        for circled in [frozenset()] + crowns(t):
+            check_key_word(t, circled)
+
+
+def test_key_word_reads_the_reference_words_off_random_keys():
+    rng = random.Random(8802)
+    for _ in range(300):
+        word = list(range(1, rng.randint(1, 60) + 1))
+        rng.shuffle(word)
+        check_key_word(tree_of_word(word), frozenset(
+            i + 1 for i, a in enumerate(word) if a >= word[0]))
+
+
+@pytest.mark.parametrize("key, word", [
+    ("(" * 5000 + ".." + ")" + ".)" * 4999, range(1, 5001)),
+    ("{" * 5000 + ".." + "}" + ".}" * 4999, range(1, 5001)),
+    ("(." * 5000 + "." + ")" * 5000, range(5000, 0, -1)),
+], ids=["left comb", "circled left comb", "right comb"])
+def test_key_word_reads_a_deep_comb_without_recursing(key, word):
+    # a comb's node order is a chain: its one word is both readings
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        readings = _key_word(key), _key_word(key, True)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert readings == (tuple(word), tuple(word))
 
 
 def check_right_cuts(t, circled):

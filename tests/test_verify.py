@@ -6,8 +6,8 @@ from multisym.posets import FinitePoset
 
 N = 4
 TAMARI = posets.tamari
-MIN_WORD, MAX_WORD = trees.min_word, trees.max_word
-SHAPES = trees.all_trees(N)
+KEY_WORD = trees._key_word
+KEYS = trees.enumerate_family("Y", N)
 
 
 def reference_counterexample(n_max):
@@ -16,9 +16,8 @@ def reference_counterexample(n_max):
     for n in range(1, n_max + 1):
         tam, weak = posets.tamari(n), posets.weak_order(n)
         keys = tam.elements
-        objs = {k: trees.parse_tree(k) for k in keys}
-        min_of = {k: trees.render_perm(trees.min_word(objs[k])) for k in keys}
-        max_of = {k: trees.render_perm(trees.max_word(objs[k])) for k in keys}
+        min_of = {k: trees.render_perm(trees._key_word(k)) for k in keys}
+        max_of = {k: trees.render_perm(trees._key_word(k, True)) for k in keys}
         for a in keys:
             for b in keys:
                 if tam.leq(a, b) != weak.leq(min_of[a], min_of[b]):
@@ -26,7 +25,7 @@ def reference_counterexample(n_max):
                 if tam.leq(a, b) and not weak.leq(max_of[a], max_of[b]):
                     return f"{a}<={b}"
         for key in keys:
-            fiber = [trees.render_perm(w) for w in trees.fiber_of_tree(objs[key])]
+            fiber = [trees.render_perm(w) for w in trees.fiber_of_tree(trees.parse_tree(key))]
             if weak.interval_ends(fiber) != (min_of[key], max_of[key]):
                 return key
     return None
@@ -69,19 +68,22 @@ def test_added_relation(monkeypatch):
 
 
 def test_max_word_that_breaks_order(monkeypatch):
-    # one tree's maximal word replaced by the identity, the least word
+    # one tree's maximal word, as the key reader gives it, replaced by the
+    # identity, the least word
     def breaking(shape):
-        return lambda t: tuple(range(1, N + 1)) if t == shape else MAX_WORD(t)
+        return lambda key, section=False: (
+            tuple(range(1, N + 1)) if section and key == shape else KEY_WORD(key, section))
 
     assert_suite_matches_reference(monkeypatch, [
-        [(trees, "max_word", breaking(shape))]
-        for shape in SHAPES if shape != trees.left_comb(N)])
+        [(trees, "_key_word", breaking(shape))]
+        for shape in KEYS if shape != trees.render(trees.left_comb(N))])
 
 
 def test_two_trees_with_one_minimal_word(monkeypatch):
     # the second tree takes the first one's minimal word
     def sharing(source, target):
-        return lambda t: MIN_WORD(source) if t == target else MIN_WORD(t)
+        return lambda key, section=False: KEY_WORD(
+            source if not section and key == target else key, section)
 
     assert_suite_matches_reference(monkeypatch, [
-        [(trees, "min_word", sharing(s, t))] for s in SHAPES for t in SHAPES if s != t])
+        [(trees, "_key_word", sharing(s, t))] for s in KEYS for t in KEYS if s != t])

@@ -42,23 +42,23 @@ def test_fibers_reports_a_size_whose_fibers_miss_a_key(monkeypatch, capsys):
 def test_fibers_reports_a_fiber_that_fails_certification(monkeypatch, capsys):
     # the fiber of this key is the single word 132; a reversed "minimum" is
     # not in it, so the closed-form check inside fiber_interval must fail
-    target = trees.parse_tree("{{..}{..}}")
-    fiber_words = trees._fiber_words
+    target = "{{..}{..}}"
+    key_word = trees._key_word
 
-    def reversed_minimum(b):
-        least, section = fiber_words(b)
-        return (least[::-1] if b == target else least), section
+    def reversed_minimum(key, section=False):
+        word = key_word(key, section)
+        return word[::-1] if key == target and not section else word
 
-    monkeypatch.setattr(trees, "_fiber_words", reversed_minimum)
-    assert_fails_with(capsys, ["fibers", "--n-max", "4"], "fibers", 4, "{{..}{..}}")
+    monkeypatch.setattr(trees, "_key_word", reversed_minimum)
+    assert_fails_with(capsys, ["fibers", "--n-max", "4"], "fibers", 4, target)
 
 
 def test_fibers_reports_a_section_word_outside_its_fiber(monkeypatch, capsys):
-    target, other = (trees.parse_tree(k) for k in ("{{.(..)}.}", "{.(.(..))}"))
-    fiber_words = trees._fiber_words
-    monkeypatch.setattr(trees, "_fiber_words", lambda b: (
-        fiber_words(b)[0], fiber_words(other if b == target else b)[1]))
-    assert_fails_with(capsys, ["fibers", "--n-max", "4"], "fibers", 4, "{{.(..)}.}")
+    target, other = "{{.(..)}.}", "{.(.(..))}"
+    key_word = trees._key_word
+    monkeypatch.setattr(trees, "_key_word", lambda key, section=False: key_word(
+        other if section and key == target else key, section))
+    assert_fails_with(capsys, ["fibers", "--n-max", "4"], "fibers", 4, target)
 
 
 def test_fibers_reports_a_fiber_without_its_avoider(monkeypatch, capsys):
