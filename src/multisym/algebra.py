@@ -22,16 +22,15 @@ from .trees import (
     _UNCIRCLE,
     MAPS,
     _beta_key,
+    _coinvariant_key,
     _interleave,
     _key_word,
     _prefix_keys,
     _standardize,
     _suffix_keys,
     _tau_key,
-    all_bileveled,
     beta_fibers,
     enumerate_family,
-    is_coinvariant_shape,
     parse_key,
     render_perm,
 )
@@ -224,10 +223,10 @@ def _shuffle(left: str, x: str, right: str, y: str) -> tuple:
     tree is circled."""
     u = _read(left, x)
     if left == "S":
+        # v raised above u: every interleaving is already a word on 1..n + p
         v = _read(right, y)
         every = itertools.combinations_with_replacement(range(len(u) + 1), len(v))
-        return _frozen(Counter(render_perm(_standardize(_interleave(u, cuts, v)))
-                               for cuts in every))
+        return _frozen(Counter(render_perm(_interleave(u, cuts, v)) for cuts in every))
     # the first segment walk checks x, and the walk of v checks y, which is
     # then the base of every graft
     segments = _segments(u, _PLAIN if left == "Y" else u[0])
@@ -411,8 +410,7 @@ def coaction_monomial_transported(b: str) -> TensorCombo:
 
 def coinvariant_basis(n: int) -> list[str]:
     """Keys whose monomial elements the coaction fixes."""
-    return [key for key, b in zip(enumerate_family("M", n), all_bileveled(n))
-            if is_coinvariant_shape(b)]
+    return [key for key in enumerate_family("M", n) if _coinvariant_key(key)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,11 @@ from heapq import heappop, heappush
 from .trees import (
     _UNCIRCLE,
     BiLeveledTree,
-    PlanarTree,
     _beta_key,
+    _check_size,
     _key_word,
     _tau_key,
     all_bileveled,
-    all_trees,
     beta_fibers,
     enumerate_family,
     fiber_min_word,
@@ -323,14 +322,14 @@ MAX_TAMARI_N = 10
 MAX_BILEVELED_N = 9
 
 
-def _check_size(order: str, n: int, limit: int) -> None:
-    if n > limit:
-        raise ValueError(f"{order} is limited to n <= {limit}, got n = {n}")
-
-
 def check_weak_size(n: int) -> None:
     """Refuse a weak order too large for its dense masks, before any work."""
     _check_size("weak order", n, MAX_WEAK_N)
+
+
+def check_bileveled_size(n: int) -> None:
+    """Refuse a bi-leveled order too large for its dense masks, before any work."""
+    _check_size("bi-leveled order", n, MAX_BILEVELED_N)
 
 
 @lru_cache(maxsize=None)
@@ -349,22 +348,21 @@ def weak_order(n: int) -> FinitePoset:
     return FinitePoset(elements, covers)
 
 
-def _rotations(t: PlanarTree, key: str):
-    """The key of every single right rotation (A.B).C -> A.(B.C) anywhere in
-    ``t``, whose key is ``key``.  A subtree on s nodes spans 3s + 1
-    characters, so A, B and C are slices of ``key``."""
-    stack = [(t, 0)]
-    while stack:
-        t, start = stack.pop()
-        if t.is_leaf:
-            continue
-        mid, end = start + 3 * t.left.size + 2, start + 3 * t.size + 1
-        if not t.left.is_leaf:
-            # "((AB)C)" becomes "(A(BC))"
-            a = start + 3 * t.left.left.size + 3
-            yield (key[:start + 1] + key[start + 2:a] + "(" + key[a:mid - 1]
-                   + key[mid:end - 1] + ")" + key[end - 1:])
-        stack += ((t.left, start + 1), (t.right, mid))
+def _rotations(key: str):
+    """The key of every single right rotation ((AB)C) -> (A(BC)) in the tree
+    of ``key``, joined from slices of ``key``: each "((" starts one, and
+    ``end[i]`` is the index just after the subtree that starts at i."""
+    end = [0] * len(key)
+    for i in range(len(key) - 1, -1, -1):
+        if key[i] == ".":
+            end[i] = i + 1
+        elif key[i] == "(":
+            end[i] = end[end[i + 1]] + 1
+    for s in range(len(key) - 1):
+        if key[s] == key[s + 1] == "(":
+            a, m, e = end[s + 2], end[s + 1], end[s]
+            yield (key[:s] + "(" + key[s + 2:a] + "(" + key[a:m - 1]
+                   + key[m:e - 1] + "))" + key[e:])
 
 
 @lru_cache(maxsize=None)
@@ -374,9 +372,7 @@ def tamari(n: int) -> FinitePoset:
         raise ValueError("rotation order needs n >= 1")
     _check_size("rotation order", n, MAX_TAMARI_N)
     keys = enumerate_family("Y", n)
-    covers = [(key, rotated) for key, t in zip(keys, all_trees(n))
-              for rotated in _rotations(t, key)]
-    return FinitePoset(keys, covers)
+    return FinitePoset(keys, [(key, rotated) for key in keys for rotated in _rotations(key)])
 
 
 @lru_cache(maxsize=None)
@@ -385,7 +381,7 @@ def bileveled_order(n: int) -> FinitePoset:
     circled sets by reverse inclusion."""
     if n < 1:
         raise ValueError("bi-leveled order needs n >= 1")
-    _check_size("bi-leveled order", n, MAX_BILEVELED_N)
+    check_bileveled_size(n)
     tam = tamari(n)
     by_shape = [[] for _ in tam.elements]
     for key, b in zip(enumerate_family("M", n), all_bileveled(n)):

@@ -348,6 +348,7 @@ def _trees(n: int) -> tuple[tuple[str, ...], tuple[PlanarTree, ...]]:
 def all_trees(n: int) -> tuple[PlanarTree, ...]:
     """The planar trees on n nodes, sorted by key (the order of
     ``enumerate_family("Y", n)``)."""
+    check_enumeration_size("Y", n)
     return _trees(n)[1]
 
 
@@ -406,13 +407,33 @@ def _bileveled(n: int) -> tuple[tuple[str, ...], tuple[BiLeveledTree, ...]]:
 def all_bileveled(n: int) -> tuple[BiLeveledTree, ...]:
     """The bi-leveled trees on n nodes, sorted by key (the order of
     ``enumerate_family("M", n)``)."""
+    check_enumeration_size("M", n)
     return _bileveled(n)[1]
+
+
+# The largest key table of each family held at once, one process each on
+# Python 3.11: S_10 takes 324 MB in 10.7 s, Y_14 1.17 GB in 19.7 s and M_12
+# 888 MB in 31 s; the next sizes are about 11, 3.6 and 4.7 times larger
+MAX_ENUMERATION_N = {"S": 10, "Y": 14, "M": 12}
+
+
+def _check_size(order: str, n: int, limit: int) -> None:
+    if n > limit:
+        raise ValueError(f"{order} is limited to n <= {limit}, got n = {n}")
+
+
+def check_enumeration_size(family: str, n: int) -> None:
+    """Refuse a key table of ``family`` too large to hold, before any work."""
+    _check_size(f"enumeration of {family}", n, MAX_ENUMERATION_N[family])
 
 
 def enumerate_family(family: str, n: int) -> list[str]:
     """Sorted canonical keys of S_n, Y_n or M_n."""
     if n < 0:
         raise ValueError("size must be nonnegative")
+    if family not in MAX_ENUMERATION_N:
+        raise ValueError(f"unknown family {family!r}")
+    check_enumeration_size(family, n)
     if family == "S":
         if n <= 9:
             # one digit per letter: the permutations of a sorted string come sorted
@@ -420,11 +441,9 @@ def enumerate_family(family: str, n: int) -> list[str]:
         return sorted(render_perm(w) for w in itertools.permutations(range(1, n + 1)))
     if family == "Y":
         return list(_trees(n)[0])
-    if family == "M":
-        if n == 0:
-            raise ValueError("there is no bi-leveled tree on 0 nodes")
-        return list(_bileveled(n)[0])
-    raise ValueError(f"unknown family {family!r}")
+    if n == 0:
+        raise ValueError("there is no bi-leveled tree on 0 nodes")
+    return list(_bileveled(n)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -551,34 +570,32 @@ def _key_word(key: str, section: bool = False) -> tuple[int, ...]:
     return tuple(word)
 
 
-def fiber_of_tree(t: PlanarTree) -> list[tuple[int, ...]]:
-    """All linear extensions of the node order of ``t``, as words by position.
-
-    Bottom up in one post-order walk: a node's words on 1..size put its
-    largest letter between a word of each subtree, the two relabelled by
-    every split of the smaller letters.
-    """
-    if t.size == 0:
-        raise ValueError("fibers are defined for trees with at least one node")
+def _key_fiber(key: str) -> list[tuple[int, ...]]:
+    """``fiber_of_tree`` read off ``key`` bottom up: a node's words put its largest
+    letter between a word of each subtree, relabelled by every split of the rest."""
     done: list[list[tuple[int, ...]]] = []  # fibers of finished subtrees, left first
-    stack = [(t, False)]
-    while stack:
-        node, ready = stack.pop()
-        if node.is_leaf:
+    for ch in key:
+        if ch == ".":
             done.append([()])
-        elif not ready:
-            stack += ((node, True), (node.right, False), (node.left, False))
-        else:
+        elif ch in ")}":
             rights, lefts = done.pop(), done.pop()
-            letters, out = range(1, node.size), []
-            for left_labels in itertools.combinations(letters, node.left.size):
+            size = len(lefts[0]) + len(rights[0]) + 1
+            letters, out = range(1, size), []
+            for left_labels in itertools.combinations(letters, len(lefts[0])):
                 taken = set(left_labels)
                 right_labels = [a for a in letters if a not in taken]
                 ls = [tuple(left_labels[a - 1] for a in w) for w in lefts]
                 rs = [tuple(right_labels[a - 1] for a in w) for w in rights]
-                out += [lw + (node.size,) + rw for lw in ls for rw in rs]
+                out += [lw + (size,) + rw for lw in ls for rw in rs]
             done.append(out)
     return sorted(done[0])
+
+
+def fiber_of_tree(t: PlanarTree) -> list[tuple[int, ...]]:
+    """All linear extensions of the node order of ``t``, as sorted words."""
+    if t.size == 0:
+        raise ValueError("fibers are defined for trees with at least one node")
+    return _key_fiber(render(t))
 
 
 def min_word(t: PlanarTree) -> tuple[int, ...]:
@@ -840,23 +857,32 @@ def to_right_comb(t: PlanarTree) -> PlanarTree:
 
 
 def qsym_composition(b: BiLeveledTree) -> tuple[int, ...]:
-    """The composition (|s_1|+1, ..., |s_p|+1) read off the forest decomposition."""
-    dec = forest_decomposition(b)
-    return tuple(t.size + 1 for t in dec.hanging)
+    """The composition (|s_1|+1, ..., |s_p|+1) of the forest decomposition,
+    read off the least fiber word, where each base letter starts a part."""
+    word = fiber_min_word(b)
+    free = b.size - len(b.circled)  # letters below the base's
+    starts = [i for i, a in enumerate(word) if a > free] + [len(word)]
+    return tuple(j - i for i, j in zip(starts, starts[1:]))
 
 
 def bileveled_of_composition(parts: tuple[int, ...]) -> BiLeveledTree:
     """The comb of combs indexed by a composition: circled left-comb base,
-    right combs hanging above its leaves."""
+    right combs hanging above its leaves, joined as a key and parsed."""
     if not parts or any(a < 1 for a in parts):
         raise ValidityError("composition parts must be positive")
-    hanging = tuple(right_comb(a - 1) for a in parts)
-    return compose_decomposition(ForestDecomposition(left_comb(len(parts)), hanging))
+    return parse_tree("{" * len(parts) + "." + "".join(
+        "(." * (a - 1) + "." + ")" * (a - 1) + "}" for a in parts))
+
+
+def _coinvariant_key(key: str) -> bool:
+    """True iff every right-spine node of the circled key ``key`` is
+    circled: the brackets after its last leaf close exactly its right spine."""
+    return ")" not in key[key.rindex(".") + 1:]
 
 
 def is_coinvariant_shape(b: BiLeveledTree) -> bool:
     """True iff every node on the right spine is circled."""
-    return all(i in b.circled for i in right_spine(b.tree))
+    return _coinvariant_key(render(b))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ class SuiteResult:
 
 
 def suite_dimensions(n_max: int = 6) -> SuiteResult:
+    for family in ("Y", "M"):
+        trees.check_enumeration_size(family, n_max)
     report = series.check_dimension_identities(n_max)
     bad = report.failures[0] if report.failures else None
     return SuiteResult("dimensions", n_max, report.passed, bad)
@@ -51,8 +53,8 @@ def suite_fibers(n_max: int = 6) -> SuiteResult:
                 return SuiteResult("fibers", n_max, False, key)
             # the one avoider is the section word, which is thus in the fiber
             section = trees.render_perm(trees._key_word(key, True))
-            avoiders = [w for w in words
-                        if trees.avoids_pinned(trees.parse_perm(w))]
+            # below the weak order's size limit every letter is one digit
+            avoiders = [w for w in words if trees.avoids_pinned(tuple(map(int, w)))]
             if avoiders != [section]:
                 return SuiteResult("fibers", n_max, False, key)
     return SuiteResult("fibers", n_max, True)
@@ -62,7 +64,7 @@ def suite_pinned(n_max: int = 6) -> SuiteResult:
     """A word avoids the pinned patterns iff it is the section word of its image."""
     for n in range(1, n_max + 1):
         for word in itertools.permutations(range(1, n + 1)):
-            is_section = word == trees.section_word(trees.bileveled_of_perm(word))
+            is_section = word == trees._key_word(trees._beta_key(word), True)
             if trees.avoids_pinned(word) != is_section:
                 return SuiteResult("pinned", n_max, False, trees.render_perm(word))
     return SuiteResult("pinned", n_max, True)
@@ -88,9 +90,8 @@ def suite_tamari_oracle(n_max: int = 5) -> SuiteResult:
             if bad:
                 b = keys[(bad & -bad).bit_length() - 1]
                 return SuiteResult("tamari-oracle", n_max, False, f"{a}<={b}")
-        objs = dict(zip(trees.enumerate_family("Y", n), trees.all_trees(n)))
         for key in keys:
-            fiber = [trees.render_perm(w) for w in trees.fiber_of_tree(objs[key])]
+            fiber = [trees.render_perm(w) for w in trees._key_fiber(key)]
             if weak.interval_ends(fiber) != (min_of[key], max_of[key]):
                 return SuiteResult("tamari-oracle", n_max, False, key)
     return SuiteResult("tamari-oracle", n_max, True)
@@ -126,6 +127,7 @@ def suite_interval_retract(n_max: int = 5) -> SuiteResult:
 
 def suite_thm3(n_max: int = 5) -> SuiteResult:
     """Closed-form monomial coaction versus the transported one, everywhere."""
+    posets.check_bileveled_size(n_max)  # the transport builds the order of M_n
     for n in range(1, n_max + 1):
         for key in trees.enumerate_family("M", n):
             closed = algebra.coaction_monomial(key)
@@ -146,6 +148,8 @@ def suite_eq8(n_max: int = 4) -> SuiteResult:
 
 
 def suite_hopf_module(b_max: int = 3, s_max: int = 2) -> SuiteResult:
+    trees.check_enumeration_size("M", b_max)
+    trees.check_enumeration_size("Y", s_max)
     for nb in range(1, b_max + 1):
         for b in trees.enumerate_family("M", nb):
             for ns in range(0, s_max + 1):

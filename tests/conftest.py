@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import pytest
@@ -13,7 +14,19 @@ def refuse_enumeration(monkeypatch):
         raise AssertionError("enumerated past the size guard")
     for module, name in ((posets, "enumerate_family"), (trees, "enumerate_family"),
                          (trees, "beta_fibers"), (posets, "beta_fibers"),
-                         (posets, "all_trees"), (posets, "all_bileveled")):
+                         (posets, "all_bileveled")):
+        monkeypatch.setattr(module, name, fail)
+
+
+@pytest.fixture
+def refuse_tables(monkeypatch):
+    """Make every key table fail (the tree tables and every walk over the
+    permutations), so an enumeration past its size guard shows as an error
+    instead of an attempt to build it."""
+    def fail(*args):
+        raise AssertionError("built a table past the size guard")
+    for module, name in ((trees, "_trees"), (trees, "_bileveled"),
+                         (itertools, "permutations")):
         monkeypatch.setattr(module, name, fail)
 
 

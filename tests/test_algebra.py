@@ -329,10 +329,28 @@ def test_coinvariant_basis():
             assert coaction_monomial(key).terms == {(key, "."): 1}
 
 
+def right_spine_circled(b):
+    """Every node on the right spine of ``b`` is circled, by a walk down its
+    right children counting in-order indices."""
+    node, index = b.tree, 0
+    while not node.is_leaf:
+        index += node.left.size + 1
+        if index not in b.circled:
+            return False
+        node = node.right
+    return True
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_coinvariant_basis_matches_the_filter_on_parsed_keys(n):
-    assert coinvariant_basis(n) == [key for key in enumerate_family("M", n)
-                                    if is_coinvariant_shape(parse_tree(key))]
+    expected = []
+    for key in enumerate_family("M", n):
+        b = parse_tree(key)
+        circled = right_spine_circled(b)
+        assert is_coinvariant_shape(b) == circled, key
+        if circled:
+            expected.append(key)
+    assert coinvariant_basis(n) == expected
 
 
 # --- theorem checkers -----------------------------------------------------------

@@ -330,12 +330,34 @@ CIRCLED_COMB_10 = "{" * 10 + "." + ".}" * 10
     ["hasse", "--family", "M", "--n", "10"],
     ["mobius", "--family", "M", "--n", "10", "--x", CIRCLED_COMB_10, "--y", CIRCLED_COMB_10],
     ["convert", "--family", "M", "--from", "F", "--to", "M", "--key", CIRCLED_COMB_10],
+    ["verify", "thm3", "--n-max", "10"],
 ], ids=lambda argv: " ".join(argv[:5]))
 @pytest.mark.usefixtures("refuse_enumeration")
 def test_bileveled_order_past_its_size_limit_exits_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: bi-leveled order is limited to n <= 9, got n = 10\n"
+
+
+ENUMERATION_REFUSALS = [
+    (["enumerate", "--family", "S", "--n", "11"], "S is limited to n <= 10, got n = 11"),
+    (["enumerate", "--family", "Y", "--n", "15"], "Y is limited to n <= 14, got n = 15"),
+    (["enumerate", "--family", "M", "--n", "13"], "M is limited to n <= 12, got n = 13"),
+    (["coinvariants", "--n", "13"], "M is limited to n <= 12, got n = 13"),
+    (["verify", "dimensions", "--n-max", "13"], "M is limited to n <= 12, got n = 13"),
+    (["verify", "dimensions", "--n-max", "15"], "Y is limited to n <= 14, got n = 15"),
+    (["verify", "hopf-module", "--n-max", "13"], "M is limited to n <= 12, got n = 13"),
+    (["verify", "hopf-module", "--s-max", "15"], "Y is limited to n <= 14, got n = 15"),
+]
+
+
+@pytest.mark.parametrize("argv, refusal", ENUMERATION_REFUSALS,
+                         ids=[" ".join(argv) for argv, _ in ENUMERATION_REFUSALS])
+@pytest.mark.usefixtures("refuse_tables")
+def test_enumeration_past_its_size_limit_exits_two(capsys, argv, refusal):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: enumeration of {refusal}\n"
 
 
 TREE_13 = "(" * 13 + "." + ".)" * 13

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from multisym import posets, series, trees, verify
+from multisym import algebra, posets, series, trees, verify
 from multisym.posets import tamari, weak_order
 from multisym.trees import (
     _standardize,
@@ -101,6 +101,29 @@ def test_tamari_covers_match_rotations_of_nested_pairs(n):
     assert tamari(n).covers == tamari_covers(n)
 
 
+def rotations_by_object_walk(t, key):
+    """The rotated keys of ``t`` (key ``key``), by a walk over its subtrees:
+    a subtree on s nodes spans 3s + 1 characters of the key."""
+    out, stack = [], [(t, 0)]
+    while stack:
+        t, start = stack.pop()
+        if t.is_leaf:
+            continue
+        mid, end = start + 3 * t.left.size + 2, start + 3 * t.size + 1
+        if not t.left.is_leaf:
+            a = start + 3 * t.left.left.size + 3
+            out.append(key[:start + 1] + key[start + 2:a] + "(" + key[a:mid - 1]
+                       + key[mid:end - 1] + ")" + key[end - 1:])
+        stack += ((t.left, start + 1), (t.right, mid))
+    return out
+
+
+def test_rotations_read_off_keys_match_the_object_walk():
+    for n in range(11):
+        for key, t in zip(enumerate_family("Y", n), all_trees(n)):
+            assert sorted(posets._rotations(key)) == sorted(rotations_by_object_walk(t, key))
+
+
 PINNED = {(1, 3, 4, 2), (4, 1, 3, 2), (3, 1, 4, 2)}
 
 
@@ -153,7 +176,7 @@ def refuse(rebind):
 
 
 def test_tables_and_orders_build_keys_without_round_trips(refuse):
-    refuse(*ROUND_TRIPS)
+    refuse(*ROUND_TRIPS, "all_trees")
     assert len(enumerate_family("Y", 6)) == 132
     assert len(enumerate_family("M", 6)) == 322
     assert len(weak_order(5)) == 120
@@ -161,6 +184,23 @@ def test_tables_and_orders_build_keys_without_round_trips(refuse):
 
 
 def test_sweep_suites_take_the_objects_they_enumerated(refuse):
-    refuse("render", "parse_tree", "_check_bileveled", "forest_decomposition")
+    refuse("render", "parse_tree", "_check_bileveled", "forest_decomposition",
+           "all_trees", "fiber_of_tree", "parse_perm")
     assert verify.suite_fibers(5).passed
     assert verify.suite_tamari_oracle(5).passed
+
+
+def test_pinned_suite_and_coinvariants_read_keys_only(refuse):
+    refuse("render", "tree_of_perm", "bileveled_of_perm", "section_word", "all_bileveled",
+           "is_coinvariant_shape", "right_spine", "forest_decomposition")
+    assert verify.suite_pinned(6).passed
+    assert [len(algebra.coinvariant_basis(n)) for n in range(1, 6)] == [1, 1, 3, 11, 44]
+
+
+def test_compositions_build_no_forest(refuse):
+    refuse("forest_decomposition", "compose_decomposition", "graft", "tree_of_perm")
+    for n in range(1, 7):
+        found = {trees.qsym_composition(b) for b in all_bileveled(n)}
+        assert len(found) == 2 ** (n - 1)
+        for parts in found:
+            assert trees.qsym_composition(trees.bileveled_of_composition(parts)) == parts

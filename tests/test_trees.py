@@ -310,12 +310,14 @@ def test_fiber_examples():
     assert sorted(render_perm(w) for w in fiber_of_tree(t)) == ["1423", "2413", "3412"]
     assert fiber_of_tree(parse_tree("(..)")) == [(1,)]
     assert fiber_of_tree(parse_tree("(.(.(..)))")) == [(3, 2, 1)]
+    # circles do not change the node order
+    assert fiber_of_tree(parse_tree("{{..}(..)}")) == fiber_of_tree(parse_tree("((..)(..))"))
 
 
 def test_fiber_matches_brute_force():
-    for n in range(1, 5):
-        for t in all_trees(n):
-            assert fiber_of_tree(t) == brute_fiber(t)
+    for n in range(1, 7):
+        for key, t in zip(enumerate_family("Y", n), all_trees(n)):
+            assert trees._key_fiber(key) == fiber_of_tree(t) == brute_fiber(t), key
 
 
 def test_min_max_words():
@@ -596,6 +598,26 @@ def test_composition_maps():
     assert qsym_composition(fully_circled) == (1, 1, 1, 1)
 
 
+def test_composition_matches_the_hanging_sizes():
+    rng = random.Random(1818)
+    objs = [b for n in range(1, 8) for b in all_bileveled(n)]
+    for _ in range(300):
+        word = list(range(1, rng.randint(8, 14) + 1))
+        rng.shuffle(word)
+        objs.append(bileveled_of_perm(tuple(word)))
+    for b in objs:
+        hanging = forest_decomposition(b).hanging
+        assert qsym_composition(b) == tuple(t.size + 1 for t in hanging), render(b)
+
+
+def test_comb_of_combs_matches_the_composed_forest():
+    for n in range(1, 9):
+        for parts in compositions(n):
+            hanging = tuple(right_comb(a - 1) for a in parts)
+            forest = ForestDecomposition(left_comb(len(parts)), hanging)
+            assert bileveled_of_composition(parts) == compose_decomposition(forest), parts
+
+
 def test_composition_round_trip_and_fibers():
     import math
     for n in range(1, 7):
@@ -625,6 +647,15 @@ def test_coinvariant_shapes():
     counts = [sum(is_coinvariant_shape(parse_tree(k)) for k in enumerate_family("M", n))
               for n in range(1, 6)]
     assert counts == [1, 1, 3, 11, 44]
+
+
+@pytest.mark.usefixtures("refuse_tables")
+@pytest.mark.parametrize("objects, family, limit", [
+    (all_trees, "Y", 14), (all_bileveled, "M", 12)], ids=["all_trees", "all_bileveled"])
+def test_object_tables_refuse_sizes_too_large_to_hold(objects, family, limit):
+    message = f"^enumeration of {family} is limited to n <= {limit}, got n = {limit + 1}$"
+    with pytest.raises(ValueError, match=message):
+        objects(limit + 1)
 
 
 def test_coinvariant_shape_matches_single_cut():
