@@ -176,7 +176,8 @@ def _word(family: str, key: str) -> tuple[int, ...]:
 
 def _linear(terms, image) -> dict:
     """The sum of ``c * image(key)`` over the ``(key, c)`` items of ``terms``,
-    each image given as (key, coefficient) items: every linear extension."""
+    each image given as (key, coefficient) items: every linear extension but
+    the basis changes, which are one poset transform per size."""
     out: dict = {}
     for key, c in terms:
         for y, d in image(key):
@@ -315,21 +316,22 @@ def coaction(b: str) -> TensorCombo:
 # monomial basis
 
 
-def _basis_row(family: str, key: str, basis: str) -> list[tuple[str, int]]:
-    """One key re-expressed in ``basis``: a fundamental key as the monomial
-    elements of its up-set, a monomial key as the fundamental elements of
-    its Möbius row; the unit as itself."""
-    if key == UNIT_KEY[family]:
-        return [(key, 1)]
-    poset = posets.poset_for(family, key_degree(family, key))
-    if basis == "M":
-        return [(upper, 1) for upper in poset.upset(key)]
-    return poset.mobius_row(key)
+def _change_basis(family: str, terms: dict[str, int], basis: str) -> dict[str, int]:
+    """``terms`` re-expressed in ``basis``, nonzero sums only: to M by the
+    zeta transform of each size's poset (the up-sets), to F by its Möbius
+    sum; the unit as itself.  One transform per size, on indices."""
+    by_size: dict[int, dict[str, int]] = {}
+    for key, c in terms.items():
+        by_size.setdefault(key_degree(family, key), {})[key] = c
+    out = by_size.pop(0, {})
+    for n, part in by_size.items():
+        poset = posets.poset_for(family, n)
+        out.update(poset.zeta(part) if basis == "M" else poset.mobius_sum(part))
+    return out
 
 
 def _convert(x: LinearCombo, basis: str) -> LinearCombo:
-    return LinearCombo(x.family, basis, _linear(
-        x.terms.items(), lambda key: _basis_row(x.family, key, basis)))
+    return LinearCombo(x.family, basis, _change_basis(x.family, x.terms, basis))
 
 
 def to_monomial(x: LinearCombo) -> LinearCombo:
@@ -350,11 +352,20 @@ def tensor_basis(t: TensorCombo, basis: str) -> TensorCombo:
     if (t.left_basis, t.right_basis) == (basis, basis):
         return t
     _require(t.left_basis == t.right_basis, "mixed-basis tensors are not produced")
-    # each factor key converted once
-    left = {k: _basis_row(t.left_family, k, basis) for k in {l for l, _ in t.terms}}
-    right = {k: _basis_row(t.right_family, k, basis) for k in {r for _, r in t.terms}}
-    return TensorCombo(t.left_family, t.right_family, basis, basis, _linear(
-        t.terms.items(), lambda pair: _tensor(left[pair[0]], right[pair[1]])))
+    # the change is separable: the right factors of each left key, then the
+    # left factors of each right key, so no product of two rows is built
+    rows: dict[str, dict[str, int]] = {}
+    for (l, r), c in t.terms.items():
+        rows.setdefault(l, {})[r] = c
+    columns: dict[str, dict[str, int]] = {}
+    for l, row in rows.items():
+        for r, c in _change_basis(t.right_family, row, basis).items():
+            columns.setdefault(r, {})[l] = c
+    terms = {}
+    for r, column in columns.items():
+        for l, c in _change_basis(t.left_family, column, basis).items():
+            terms[l, r] = c
+    return TensorCombo(t.left_family, t.right_family, basis, basis, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +439,18 @@ class ComparisonReport:
 
 
 def _act_componentwise(cuts) -> list:
-    """``m.y1 (x) y.y2`` for a coaction term ``(m, y)`` and a cut ``(y1, y2)``."""
+    """The items of ``m.y1 (x) y.y2`` for a coaction term ``(m, y)`` and a
+    cut ``(y1, y2)``, read off the two shuffle kernels."""
     (m, y), (y1, y2) = cuts
-    return _tensor(action_ysym(m, y1).terms.items(), product_fund("Y", y, y2).terms.items())
+    return _tensor(_shuffle("M", m, "Y", y1), _shuffle("Y", y, "Y", y2))
 
 
 def check_hopf_module(b: str, s: str) -> ComparisonReport:
-    """Coaction of an action versus the componentwise action of a coproduct."""
-    cut_s = coproduct_fund("Y", s).terms.items()
-    cuts = _tensor(coaction(b).terms.items(), cut_s)
+    """Coaction of an action versus the componentwise action of a coproduct,
+    the latter summed straight from the kernels' items; the kernels check
+    ``s``, then ``b``, and raise ``parse_key``'s error for either."""
+    cut_s = _deconcatenate("Y", "Y", s)
+    cuts = _tensor(_deconcatenate("M", "Y", b), cut_s)
     return ComparisonReport(_coaction_of(action_ysym(b, s)), TensorCombo(
         "M", "Y", "F", "F", _linear(cuts, _act_componentwise)))
 

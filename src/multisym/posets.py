@@ -211,6 +211,36 @@ class FinitePoset:
         return sorted((self._names[j], mu)
                       for j, mu in self._mobius_row(self.index[x]).items())
 
+    def zeta(self, coefs: dict[str, int]) -> dict[str, int]:
+        """``{y: c}`` with c the sum of ``coefs[x]`` over the x <= y, for the
+        nonzero sums: the keys of each coefficient are one mask, and each y
+        in the union of their up-sets counts its down-set's bits in each."""
+        by_value: dict[int, int] = {}
+        reach = 0
+        for x, c in coefs.items():
+            i = self.index[x]
+            by_value[c] = by_value.get(c, 0) | 1 << i
+            reach |= self._up[i]
+        down, names, out = self._down, self._names, {}
+        values = by_value.items()
+        for y in _bits(reach):
+            below, total = down[y], 0
+            for c, mask in values:
+                total += c * (below & mask).bit_count()
+            if total:
+                out[names[y]] = total
+        return out
+
+    def mobius_sum(self, coefs: dict[str, int]) -> dict[str, int]:
+        """``{y: c}`` with c the sum of ``coefs[x] * mu(x, y)`` over the x <= y,
+        for the nonzero sums: the inverse of ``zeta``."""
+        acc: dict[int, int] = {}
+        for x, c in coefs.items():
+            for j, mu in self._mobius_row(self.index[x]).items():
+                acc[j] = acc.get(j, 0) + c * mu
+        names = self._names
+        return {names[j]: c for j, c in acc.items() if c}
+
     def _mobius_row(self, i: int) -> dict[int, int]:
         """``{j: mu(i, j)}`` over the j >= i with a nonzero value."""
         row = self._mobius.get(i)

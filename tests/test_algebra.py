@@ -367,6 +367,22 @@ def test_hopf_module_with_unit_action():
     assert report.left.terms == coaction("{{..}.}").terms
 
 
+@pytest.mark.parametrize("b, s, family, bad", [
+    ("(..)", "(..)", "M", "(..)"),        # a plain tree as b
+    ("{{..}", "(..)", "M", "{{..}"),      # malformed text as b
+    ("x", ".", "M", "x"),
+    ("{{..}.}", "{..}", "Y", "{..}"),     # a circled key as s
+    ("{..}", "x", "Y", "x"),
+    ("(..)", "{..}", "Y", "{..}"),        # both bad: s is checked first
+])
+def test_hopf_module_check_refuses_bad_keys_as_the_parser_does(b, s, family, bad):
+    with pytest.raises(ValueError) as parsed:
+        parse_key(family, bad)
+    with pytest.raises(type(parsed.value)) as got:
+        check_hopf_module(b, s)
+    assert str(got.value) == str(parsed.value)
+
+
 def test_fiber_monomial_sum():
     assert check_fiber_monomial_sum("{{.(..)}(..)}").passed
     for key in enumerate_family("M", 3):

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from multisym import algebra, posets
+from multisym import algebra, posets, verify
 from multisym.trees import (
     LEAF,
     BiLeveledTree,
@@ -323,6 +323,25 @@ def ref_row(family, key, basis):
             if poset.mobius(key, upper)}
 
 
+def ref_sum(family, combo, basis):
+    """A combination's expansion, summed row by row; zero sums left out."""
+    expected = {}
+    for key, c in combo.items():
+        for y, d in ref_row(family, key, basis).items():
+            expected[y] = expected.get(y, 0) + c * d
+    return {y: v for y, v in expected.items() if v}
+
+
+def ref_tensor(tensor, basis):
+    """A tensor's expansion, summed over the products of its factor rows."""
+    expected = {}
+    for (left, right), c in tensor.terms.items():
+        for lk, lc in ref_row(tensor.left_family, left, basis).items():
+            for rk, rc in ref_row(tensor.right_family, right, basis).items():
+                expected[lk, rk] = expected.get((lk, rk), 0) + c * lc * rc
+    return {pair: v for pair, v in expected.items() if v}
+
+
 @pytest.mark.parametrize("family", ["S", "Y", "M"])
 def test_conversions_match_the_per_pair_loop(family):
     keys = [UNITS[family]] + [key for n in range(1, 6)
@@ -334,12 +353,8 @@ def test_conversions_match_the_per_pair_loop(family):
         assert got.terms == ref_row(family, key, "M"), key
     # a combination of all of them at once, with mixed signs
     combo = {key: (-1) ** i * (i + 1) for i, key in enumerate(keys)}
-    expected = {}
-    for key, c in combo.items():
-        for y, d in ref_row(family, key, "F").items():
-            expected[y] = expected.get(y, 0) + c * d
     got = algebra.from_monomial(algebra.LinearCombo(family, "M", combo))
-    assert got.terms == {y: v for y, v in expected.items() if v}
+    assert got.terms == ref_sum(family, combo, "F")
 
 
 # mixed signs, several right keys per left key, and units on both sides
@@ -348,21 +363,89 @@ MIXED_TENSOR = {("1", "."): 2, ("1", "((..).)"): -3, ("{..}", "."): 7,
                 ("{{..}{..}}", "."): -4, ("{{..}{..}}", "(..)"): 1, ("{.(..)}", "((..).)"): -1}
 
 
+def spread(family, sizes, rng):
+    """Up to four seeded keys of each size in ``sizes`` (the unit for size
+    0), with coefficients of both signs."""
+    keys = []
+    for n in sizes:
+        elements = posets.poset_for(family, n).elements if n else [UNITS[family]]
+        keys += rng.sample(elements, min(4, len(elements)))
+    return {key: rng.choice([-3, -2, -1, 1, 2, 5]) for key in keys}
+
+
 @pytest.mark.parametrize("basis", ["F", "M"])
 def test_tensor_conversion_is_the_product_of_the_factor_rows(basis):
-    # the coaction, and one tensor written here, in the other basis
-    # converted into ``basis``
+    # the coaction, one tensor written here, and seeded tensors of three
+    # family pairs with left keys of sizes 0-4, in the other basis converted
+    # into ``basis`` and back
     tensors = [algebra.coaction(key) for n in range(1, 5)
                for key in posets.poset_for("M", n).elements]
     if basis == "F":
         tensors = [algebra.tensor_basis(tensor, "M") for tensor in tensors]
     other = "M" if basis == "F" else "F"
     tensors.append(algebra.TensorCombo("M", "Y", other, other, MIXED_TENSOR))
+    rng = random.Random(190)
+    for left_family, right_family in (("M", "Y"), ("S", "Y"), ("Y", "M")):
+        terms = {(left, right): c * d
+                 for left, c in spread(left_family, range(5), rng).items()
+                 for right, d in spread(right_family, rng.sample(range(5), 2), rng).items()}
+        # two right factors of one left key, one above the other
+        poset, left = posets.poset_for(right_family, 3), next(iter(terms))[0]
+        terms[left, poset.minimum()] = 2
+        terms[left, poset.maximum()] = -2
+        tensors.append(algebra.TensorCombo(left_family, right_family, other, other, terms))
     for tensor in tensors:
-        expected = {}
-        for (left, right), c in tensor.terms.items():
-            for lk, lc in ref_row("M", left, basis).items():
-                for rk, rc in ref_row("Y", right, basis).items():
-                    expected[lk, rk] = expected.get((lk, rk), 0) + c * lc * rc
         got = algebra.tensor_basis(tensor, basis)
-        assert got.terms == {pair: v for pair, v in expected.items() if v}, tensor
+        assert got.terms == ref_tensor(tensor, basis), tensor
+        assert algebra.tensor_basis(got, other) == tensor
+
+
+@pytest.mark.parametrize("family", ["S", "Y", "M"])
+def test_conversions_round_trip_across_sizes_and_cancel(family):
+    rng = random.Random(19)
+    for _ in range(5):
+        combo = spread(family, range(6), rng)
+        for start, convert, back in (("F", algebra.to_monomial, algebra.from_monomial),
+                                     ("M", algebra.from_monomial, algebra.to_monomial)):
+            x = algebra.LinearCombo(family, start, combo)
+            there = convert(x)
+            assert there.terms == ref_sum(family, combo, there.basis)
+            assert back(there) == x
+    for n in range(2, 6):
+        poset = posets.poset_for(family, n)
+        # a row summed back cancels to its one key, and the up-set of the
+        # top cancels out of that of the bottom: zero sums are not kept
+        for x in rng.sample(poset.elements, min(5, len(poset))):
+            assert poset.mobius_sum(ref_row(family, x, "M")) == {x: 1}
+            assert poset.zeta(ref_row(family, x, "F")) == {x: 1}
+        low, high = poset.minimum(), poset.maximum()
+        assert poset.zeta({low: 1, high: -1}) == {y: 1 for y in poset.elements if y != high}
+        assert poset.zeta({}) == poset.mobius_sum({}) == {}
+
+
+def test_basis_changes_list_no_up_set_or_mobius_row(monkeypatch):
+    # the answers first, through the string listings the patch then refuses
+    keys = {family: [UNITS[family]] + [key for n in range(1, 5)
+                                       for key in posets.poset_for(family, n).elements]
+            for family in ("S", "Y", "M")}
+    rows = {(family, key, basis): ref_row(family, key, basis)
+            for family, family_keys in keys.items() for key in family_keys
+            for basis in ("F", "M")}
+    tensors = [algebra.coaction(key) for key in keys["M"][1:]]
+    monomial = [ref_tensor(tensor, "M") for tensor in tensors]
+
+    def refuse(name):
+        def fail(*args):
+            raise AssertionError(f"FinitePoset.{name} called by a change of basis")
+        return fail
+    for name in ("upset", "mobius_row", "_members"):
+        monkeypatch.setattr(posets.FinitePoset, name, refuse(name))
+    for (family, key, basis), row in rows.items():
+        start, convert = (("F", algebra.to_monomial) if basis == "M"
+                          else ("M", algebra.from_monomial))
+        assert convert(algebra.LinearCombo(family, start, {key: 1})).terms == row
+    for tensor, expected in zip(tensors, monomial):
+        got = algebra.tensor_basis(tensor, "M")
+        assert got.terms == expected
+        assert algebra.tensor_basis(got, "F") == tensor
+    assert verify.suite_thm3(5).passed
