@@ -1,5 +1,5 @@
-"""Finite posets over canonical keys, the three concrete orders, and the
-Galois-connection / interval-retract certifiers.
+"""Finite posets over canonical keys, the three orders generated by moves
+read off their keys, and the Galois-connection / interval-retract certifiers.
 
 Posets are frozen after construction.  Elements are indexed once, along a
 linear extension read from the top down, and comparability is kept as
@@ -20,13 +20,12 @@ from functools import lru_cache
 from heapq import heappop, heappush
 
 from .trees import (
-    _UNCIRCLE,
     BiLeveledTree,
     _beta_key,
     _check_size,
     _key_word,
     _tau_key,
-    all_bileveled,
+    all_bileveled,  # unused here: bench/test_bench.py calls it through this binding
     beta_fibers,
     enumerate_family,
     fiber_min_word,
@@ -378,61 +377,61 @@ def weak_order(n: int) -> FinitePoset:
     return FinitePoset(elements, covers)
 
 
-def _rotations(key: str):
-    """The key of every single right rotation ((AB)C) -> (A(BC)) in the tree
-    of ``key``, joined from slices of ``key``: each "((" starts one, and
-    ``end[i]`` is the index just after the subtree that starts at i."""
-    end = [0] * len(key)
+def _moves(key: str):
+    """Every key one move up from ``key``, joined from its slices with each
+    node's brackets carried along: at each node x over an internal left
+    child, the rotation (A B) C -> A (B C), again with x uncircled if x is
+    circled; at each circled node, that node uncircled.  (s, D) <= (t, C) when
+    the shape s is below t and the circle set C lies in D, and a cover is a
+    rotation with D carried, the same with D - {x}, or one circle dropped,
+    because a rotation only removes the pairs i < j with i in j's left
+    subtree and only adds the pairs i < j with j in i's right subtree."""
+    end = [0] * len(key)  # end[i]: the index just after the subtree at i
     for i in range(len(key) - 1, -1, -1):
         if key[i] == ".":
             end[i] = i + 1
-        elif key[i] == "(":
+        elif key[i] in "({":
             end[i] = end[end[i + 1]] + 1
-    for s in range(len(key) - 1):
-        if key[s] == key[s + 1] == "(":
+    for s, x in enumerate(key):
+        if x == "{":
+            yield key[:s] + "(" + key[s + 1:end[s] - 1] + ")" + key[end[s]:]
+        if x in "({" and key[s + 1] in "({":
+            # y and A, then x over B and C, then the closers of x and y
             a, m, e = end[s + 2], end[s + 1], end[s]
-            yield (key[:s] + "(" + key[s + 2:a] + "(" + key[a:m - 1]
-                   + key[m:e - 1] + "))" + key[e:])
+            head, body = key[:s] + key[s + 1:a], key[a:m - 1] + key[m:e - 1]
+            yield head + x + body + key[e - 1] + key[m - 1] + key[e:]
+            if x == "{":
+                yield head + "(" + body + ")" + key[m - 1] + key[e:]
+
+
+def _move_order(family: str, n: int, order: str, limit: int) -> FinitePoset:
+    """``order`` on the keys of ``family``, generated by their moves that are keys."""
+    if n < 1:
+        raise ValueError(f"{order} needs n >= 1")
+    _check_size(order, n, limit)
+    keys = enumerate_family(family, n)
+    known = set(keys)
+    return FinitePoset(keys, [(key, up) for key in keys for up in _moves(key) if up in known])
 
 
 @lru_cache(maxsize=None)
 def tamari(n: int) -> FinitePoset:
     """Rotation order on Y_n; the left comb is minimal, the right comb maximal."""
-    if n < 1:
-        raise ValueError("rotation order needs n >= 1")
-    _check_size("rotation order", n, MAX_TAMARI_N)
-    keys = enumerate_family("Y", n)
-    return FinitePoset(keys, [(key, rotated) for key in keys for rotated in _rotations(key)])
+    return _move_order("Y", n, "rotation order", MAX_TAMARI_N)
 
 
 @lru_cache(maxsize=None)
 def bileveled_order(n: int) -> FinitePoset:
     """Weak order on M_n: compare underlying shapes in the rotation order and
     circled sets by reverse inclusion."""
-    if n < 1:
-        raise ValueError("bi-leveled order needs n >= 1")
-    check_bileveled_size(n)
-    tam = tamari(n)
-    by_shape = [[] for _ in tam.elements]
-    for key, b in zip(enumerate_family("M", n), all_bileveled(n)):
-        by_shape[tam.index[key.translate(_UNCIRCLE)]].append((b.circled, key))
-    keys = [key for group in by_shape for _, key in group]
-    relation = []
-    for below, group in zip(tam._down, by_shape):
-        lower = [a for s in _bits(below) for a in by_shape[s]]
-        for circled, key in group:
-            relation += [(x, key) for c, x in lower if circled <= c and x != key]
-    return FinitePoset(keys, relation)
+    return _move_order("M", n, "bi-leveled order", MAX_BILEVELED_N)
 
 
 def poset_for(family: str, n: int) -> FinitePoset:
-    if family == "S":
-        return weak_order(n)
-    if family == "Y":
-        return tamari(n)
-    if family == "M":
-        return bileveled_order(n)
-    raise ValueError(f"no poset for family {family!r}")
+    orders = {"S": weak_order, "Y": tamari, "M": bileveled_order}
+    if family not in orders:
+        raise ValueError(f"no poset for family {family!r}")
+    return orders[family](n)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ subtree), and all circled-node bookkeeping is done on those indices.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -591,11 +592,31 @@ def _key_fiber(key: str) -> list[tuple[int, ...]]:
     return sorted(done[0])
 
 
+def _fiber_size(key: str) -> int:
+    """The number of words of a tree's fiber, read off ``key`` in one scan:
+    n! over the product of the subtree sizes (the hook length formula for
+    trees)."""
+    sizes, product = [], 1  # sizes of finished subtrees, left first
+    for ch in key:
+        if ch == ".":
+            sizes.append(0)
+        elif ch == ")":
+            size = sizes.pop() + sizes.pop() + 1
+            product *= size
+            sizes.append(size)
+    return math.factorial(sizes[0]) // product
+
+
 def fiber_of_tree(t: PlanarTree) -> list[tuple[int, ...]]:
-    """All linear extensions of the node order of ``t``, as sorted words."""
+    """All linear extensions of the node order of ``t``, as sorted words;
+    refused, before any is built, past the 10! words of the S_10 table."""
     if t.size == 0:
         raise ValueError("fibers are defined for trees with at least one node")
-    return _key_fiber(render(t))
+    key = render(t)
+    size, limit = _fiber_size(key), math.factorial(MAX_ENUMERATION_N["S"])
+    if size > limit:
+        raise ValueError(f"a tree fiber is limited to {limit} words, got {size}")
+    return _key_fiber(key)
 
 
 def min_word(t: PlanarTree) -> tuple[int, ...]:

@@ -256,6 +256,21 @@ def test_fiber_of_a_comb_deeper_than_the_recursion_limit(capsys, tree, word):
     assert (code, out, err) == (0, f"{w}\nmin={w} max={w}\n", "")
 
 
+def complete_tree(depth):
+    return "." if depth == 0 else "(" + complete_tree(depth - 1) * 2 + ")"
+
+
+def test_fiber_past_ten_factorial_words_exits_two(capsys, monkeypatch):
+    # the complete tree on 15 nodes has 15! / (15 * 7^2 * 3^4) words, which
+    # would take several GB: the count is read off the key and refused first
+    def fail(*args):
+        raise AssertionError("enumerated a fiber past its size guard")
+    monkeypatch.setattr(trees, "_key_fiber", fail)
+    code, out, err = run(capsys, "fiber", "--map", "tau", "--input", complete_tree(4))
+    assert (code, out) == (2, "")
+    assert err == "error: a tree fiber is limited to 3628800 words, got 21964800\n"
+
+
 def run_on_a_short_stack(capsys, *argv):
     """``run`` with the recursion limit 100 frames above the current depth, so
     that a routine recursing once per level of a 300-deep key overflows."""

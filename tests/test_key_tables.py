@@ -1,8 +1,8 @@
 """The key tables built by construction against definitions written here.
 
 ``enumerate_family`` joins tree keys from smaller ones and builds circled
-trees without validating them, ``weak_order`` and ``tamari`` build each cover
-as a key string, and ``avoids_pinned`` compares letters directly.  Each is
+trees without validating them, the three orders build each move as a key
+string, and ``avoids_pinned`` compares letters directly.  Each is
 checked against the parser (which validates), or against an oracle on tuples
 that imports nothing from ``multisym.posets``.
 """
@@ -121,7 +121,7 @@ def rotations_by_object_walk(t, key):
 def test_rotations_read_off_keys_match_the_object_walk():
     for n in range(11):
         for key, t in zip(enumerate_family("Y", n), all_trees(n)):
-            assert sorted(posets._rotations(key)) == sorted(rotations_by_object_walk(t, key))
+            assert sorted(posets._moves(key)) == sorted(rotations_by_object_walk(t, key))
 
 
 PINNED = {(1, 3, 4, 2), (4, 1, 3, 2), (3, 1, 4, 2)}
@@ -160,7 +160,8 @@ def test_avoids_pinned_and_standardize_on_random_long_words():
 
 
 ROUND_TRIPS = ("render", "parse_tree", "parse_perm", "render_perm", "_check_bileveled")
-CACHED = (trees._trees, trees._bileveled, posets.weak_order, posets.tamari)
+CACHED = (trees._trees, trees._bileveled, posets.weak_order, posets.tamari,
+          posets.bileveled_order)
 
 
 @pytest.fixture
@@ -175,12 +176,18 @@ def refuse(rebind):
     return lambda *names: rebind({name: failing(name) for name in names}, CACHED)
 
 
-def test_tables_and_orders_build_keys_without_round_trips(refuse):
-    refuse(*ROUND_TRIPS, "all_trees")
+def test_tables_and_orders_build_keys_without_round_trips(refuse, monkeypatch):
+    refuse(*ROUND_TRIPS, "all_trees", "all_bileveled")
     assert len(enumerate_family("Y", 6)) == 132
     assert len(enumerate_family("M", 6)) == 322
     assert len(weak_order(5)) == 120
     assert len(tamari(6)) == 132
+
+    def no_tamari(n):
+        raise AssertionError("the bi-leveled order built the rotation order")
+    # the bi-leveled order reads its covers off its own keys
+    monkeypatch.setattr(posets, "tamari", no_tamari)
+    assert len(posets.bileveled_order(6)) == 322
 
 
 def test_sweep_suites_take_the_objects_they_enumerated(refuse):

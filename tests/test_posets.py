@@ -495,7 +495,7 @@ def test_bileveled_extremes_on_four_nodes():
     assert P.maximum() == render(bileveled_of_perm((4, 3, 2, 1)))
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_bileveled_order_matches_its_definition(n):
     # a <= b when the shape of a lies below that of b in the rotation order,
     # read as inclusion of the position-inversion sets of their minimal words,
