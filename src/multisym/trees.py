@@ -327,94 +327,67 @@ def right_spine(tree: PlanarTree) -> list[int]:
 # enumeration
 
 
+def _join(brackets: str, lefts: list[tuple[str, int]], rights) -> tuple[str, ...]:
+    """Every key ``brackets[0] + left + right + brackets[1]``, sorted, for
+    each (left key, its size) of ``lefts`` and each key of the sorted table
+    ``rights(size)``.  No key is a prefix of another, so keys with different
+    left parts compare as those parts: sorting the few left parts sorts the
+    join."""
+    opener, closer = brackets
+    return tuple([opener + left + right + closer
+                  for left, size in sorted(lefts) for right in rights(size)])
+
+
 @lru_cache(maxsize=None)
-def _trees(n: int) -> tuple[tuple[str, ...], tuple[PlanarTree, ...]]:
-    """The keys of Y_n, sorted, and their trees in the same order.  Each key
-    is joined as ``"(" + left key + right key + ")"`` from the tables of the
-    smaller sizes, and each tree shares its subtrees with them."""
+def _trees(n: int) -> tuple[str, ...]:
+    """The keys of Y_n, sorted, joined from the tables of the smaller sizes."""
     if n == 0:
-        return (".",), (LEAF,)
-    keyed = []
-    for k in range(n):
-        left_keys, lefts = _trees(k)
-        right_keys, rights = _trees(n - 1 - k)
-        for left_key, left in zip(left_keys, lefts):
-            for right_key, right in zip(right_keys, rights):
-                keyed.append(("(" + left_key + right_key + ")", PlanarTree(left, right)))
-    keyed.sort(key=lambda pair: pair[0])
-    keys, objs = zip(*keyed)
-    return keys, objs
+        return (".",)
+    return _join("()", [(key, k) for k in range(n) for key in _trees(k)],
+                 lambda k: _trees(n - 1 - k))
+
+
+@lru_cache(maxsize=None)
+def _upsets(n: int) -> tuple[str, ...]:
+    """The keys of Y_n circled on an upward-closed node set, sorted: the plain
+    keys (``(`` sorts before ``{``), then a circled root over an upset of
+    each subtree."""
+    if n == 0:
+        return (".",)
+    return _trees(n) + _join("{}", [(key, k) for k in range(n) for key in _upsets(k)],
+                             lambda k: _upsets(n - 1 - k))
+
+
+@lru_cache(maxsize=None)
+def _bileveled(n: int) -> tuple[str, ...]:
+    """The keys of M_n, sorted: a circled root over a key of M_k and an upset
+    of the right subtree, or, node 1 being the root, over a leaf and a plain
+    right subtree."""
+    lefts = [(".", 0)] + [(key, k) for k in range(1, n) for key in _bileveled(k)]
+    return _join("{}", lefts, lambda k: _upsets(n - 1 - k) if k else _trees(n - 1))
+
+
+@lru_cache(maxsize=None)
+def _parsed(family: str, n: int) -> tuple:
+    """The objects of ``enumerate_family(family, n)``, parsed once per size."""
+    return tuple(map(parse_tree, enumerate_family(family, n)))
 
 
 def all_trees(n: int) -> tuple[PlanarTree, ...]:
     """The planar trees on n nodes, sorted by key (the order of
     ``enumerate_family("Y", n)``)."""
-    check_enumeration_size("Y", n)
-    return _trees(n)[1]
-
-
-def _ideals(t: PlanarTree, offset: int, key: str) -> list[tuple[tuple[int, ...], str]]:
-    """Every upward-closed node set of ``t`` with the key of ``t`` circled
-    there, the set as in-order indices after ``offset``: first the empty set
-    and the plain key ``key``, then the root with one set of each subtree.
-    A subtree on s nodes spans 3s + 1 characters of a key, so the plain keys
-    of the subtrees are slices of ``key``."""
-    if t.is_leaf:
-        return [((), key)]
-    root, mid = offset + t.left.size + 1, 3 * t.left.size + 2
-    return [((), key)] + [
-        (left + (root,) + right, "{" + left_key + right_key + "}")
-        for left, left_key in _ideals(t.left, offset, key[1:mid])
-        for right, right_key in _ideals(t.right, root, key[mid:-1])]
-
-
-def _crowns(t: PlanarTree, key: str) -> list[tuple[tuple[int, ...], str]]:
-    """Every valid circled set of ``t`` with its key, ``key`` being the plain
-    key of ``t``: the left spine down to node 1, no child of node 1, and an
-    upward-closed set of each other right subtree."""
-    root, mid = t.left.size + 1, 3 * t.left.size + 2
-    if t.left.is_leaf:
-        return [((root,), "{" + key[1:-1] + "}")]
-    return [(left + (root,) + right, "{" + left_key + right_key + "}")
-            for left, left_key in _crowns(t.left, key[1:mid])
-            for right, right_key in _ideals(t.right, root, key[mid:-1])]
-
-
-def _crowned(tree: PlanarTree, circled: frozenset[int]) -> BiLeveledTree:
-    """A ``BiLeveledTree`` built without ``_check_bileveled``, for a crown
-    valid by construction."""
-    b = object.__new__(BiLeveledTree)
-    object.__setattr__(b, "tree", tree)
-    object.__setattr__(b, "circled", circled)
-    return b
-
-
-@lru_cache(maxsize=None)
-def _bileveled(n: int) -> tuple[tuple[str, ...], tuple[BiLeveledTree, ...]]:
-    """The keys of M_n, sorted, and their trees in the same order."""
-    if n < 1:
-        raise ValueError("bi-leveled trees need at least one node")
-    keyed, circles = [], {}
-    for plain, tree in zip(*_trees(n)):
-        for crown, key in _crowns(tree, plain):
-            # the same circled set recurs across shapes: keep one copy
-            circled = circles.setdefault(crown, frozenset(crown))
-            keyed.append((key, _crowned(tree, circled)))
-    keyed.sort(key=lambda pair: pair[0])
-    keys, objs = zip(*keyed)
-    return keys, objs
+    return _parsed("Y", n)
 
 
 def all_bileveled(n: int) -> tuple[BiLeveledTree, ...]:
     """The bi-leveled trees on n nodes, sorted by key (the order of
     ``enumerate_family("M", n)``)."""
-    check_enumeration_size("M", n)
-    return _bileveled(n)[1]
+    return _parsed("M", n)
 
 
 # The largest key table of each family held at once, one process each on
-# Python 3.11: S_10 takes 324 MB in 10.7 s, Y_14 1.17 GB in 19.7 s and M_12
-# 888 MB in 31 s; the next sizes are about 11, 3.6 and 4.7 times larger
+# Python 3.11: S_10 takes 325 MB in 7.6 s, Y_14 485 MB in 1.8 s and M_12
+# 473 MB in 1.6 s; the next sizes are about 11, 3.6 and 4.7 times larger
 MAX_ENUMERATION_N = {"S": 10, "Y": 14, "M": 12}
 
 
@@ -441,10 +414,10 @@ def enumerate_family(family: str, n: int) -> list[str]:
             return list(map("".join, itertools.permutations("123456789"[:n])))
         return sorted(render_perm(w) for w in itertools.permutations(range(1, n + 1)))
     if family == "Y":
-        return list(_trees(n)[0])
+        return list(_trees(n))
     if n == 0:
         raise ValueError("there is no bi-leveled tree on 0 nodes")
-    return list(_bileveled(n)[0])
+    return list(_bileveled(n))
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +600,15 @@ def min_word(t: PlanarTree) -> tuple[int, ...]:
 def max_word(t: PlanarTree) -> tuple[int, ...]:
     """The largest (132-avoiding) word mapping to ``t``: left subtrees take high letters."""
     return _key_word(render(t), True)
+
+
+def _crowned(tree: PlanarTree, circled: frozenset[int]) -> BiLeveledTree:
+    """A ``BiLeveledTree`` built without ``_check_bileveled``, for a crown
+    valid by construction."""
+    b = object.__new__(BiLeveledTree)
+    object.__setattr__(b, "tree", tree)
+    object.__setattr__(b, "circled", circled)
+    return b
 
 
 def bileveled_of_perm(word: tuple[int, ...]) -> BiLeveledTree:

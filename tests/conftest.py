@@ -25,7 +25,7 @@ def refuse_tables(monkeypatch):
     instead of an attempt to build it."""
     def fail(*args):
         raise AssertionError("built a table past the size guard")
-    for module, name in ((trees, "_trees"), (trees, "_bileveled"),
+    for module, name in ((trees, "_trees"), (trees, "_upsets"), (trees, "_bileveled"),
                          (itertools, "permutations")):
         monkeypatch.setattr(module, name, fail)
 

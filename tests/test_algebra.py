@@ -548,8 +548,8 @@ def test_every_short_text_fails_as_the_parser_fails():
 OBJECT_PATH = ("render", "render_key", "parse_tree", "tree_of_perm", "bileveled_of_perm",
                "strip_circles", "forest_decomposition")
 CACHED = (algebra.key_degree, algebra._shuffle, algebra._deconcatenate, posets.weak_order,
-          posets.tamari, posets.bileveled_order, trees._trees, trees._bileveled,
-          trees.beta_fibers)
+          posets.tamari, posets.bileveled_order, trees._trees, trees._upsets, trees._bileveled,
+          trees._parsed, trees.beta_fibers)
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """The key tables built by construction against definitions written here.
 
-``enumerate_family`` joins tree keys from smaller ones and builds circled
-trees without validating them, the three orders build each move as a key
+``enumerate_family`` joins plain and circled tree keys from the tables of
+smaller sizes and builds no tree, the three orders build each move as a key
 string, and ``avoids_pinned`` compares letters directly.  Each is
 checked against the parser (which validates), or against an oracle on tuples
 that imports nothing from ``multisym.posets``.
@@ -15,12 +15,13 @@ import pytest
 from multisym import algebra, posets, series, trees, verify
 from multisym.posets import tamari, weak_order
 from multisym.trees import (
+    BiLeveledTree,
+    PlanarTree,
     _standardize,
     all_bileveled,
     all_trees,
     avoids_pinned,
     enumerate_family,
-    parse_tree,
     render,
     render_perm,
 )
@@ -32,15 +33,17 @@ N_MAX = 8
     ("Y", all_trees, 0), ("M", all_bileveled, 1)])
 def test_keys_are_sorted_counted_and_name_their_objects(family, objects, start):
     counts = series.counts(family, N_MAX)
+    kind = PlanarTree if family == "Y" else BiLeveledTree
     for n in range(start, N_MAX + 1):
         keys = enumerate_family(family, n)
         objs = objects(n)
         assert keys == sorted(keys)
         assert len(keys) == len(objs) == counts[n]
+        # the objects are parsed from the keys on first use: each renders
+        # back to its key and has the family's type and size
         for key, obj in zip(keys, objs):
             assert render(obj) == key
-            # the parser validates, so this checks the unvalidated constructor
-            assert parse_tree(key) == obj
+            assert type(obj) is kind and obj.size == n
 
 
 def test_word_keys_are_the_rendered_permutations():
@@ -74,6 +77,54 @@ def shapes(n):
 
 def tree_key(t):
     return "." if t == () else "(" + tree_key(t[0]) + tree_key(t[1]) + ")"
+
+
+def size(t):
+    return 0 if t == () else size(t[0]) + size(t[1]) + 1
+
+
+def node_parents(t, offset=0, parent=None):
+    """The parent of each node of t (None at the root), nodes numbered
+    1..size(t) after ``offset`` in in-order."""
+    if t == ():
+        return {}
+    root = offset + size(t[0]) + 1
+    return {**node_parents(t[0], offset, root), root: parent,
+            **node_parents(t[1], root, root)}
+
+
+def circled_key(t, circled, offset=0):
+    if t == ():
+        return "."
+    root = offset + size(t[0]) + 1
+    opener, closer = "{}" if root in circled else "()"
+    return (opener + circled_key(t[0], circled, offset)
+            + circled_key(t[1], circled, root) + closer)
+
+
+def brute_circled_keys(n):
+    """The key of every node subset of every shape on n nodes that is a valid
+    circled set: node 1 circled, no circled child of node 1, and the parent of
+    every circled node but the root circled."""
+    keys = []
+    for t in shapes(n):
+        parent = node_parents(t)
+        for r in range(1, n + 1):
+            for circled in map(set, itertools.combinations(range(1, n + 1), r)):
+                if (1 in circled and all(parent[c] != 1 for c in circled)
+                        and all(parent[c] in circled for c in circled if parent[c])):
+                    keys.append(circled_key(t, circled))
+    return sorted(keys)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_plain_keys_are_the_sorted_keys_of_nested_pairs(n):
+    assert enumerate_family("Y", n) == sorted(map(tree_key, shapes(n)))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_circled_keys_are_the_valid_subsets_of_every_shape(n):
+    assert enumerate_family("M", n) == brute_circled_keys(n)
 
 
 def rotations(t):
@@ -160,8 +211,8 @@ def test_avoids_pinned_and_standardize_on_random_long_words():
 
 
 ROUND_TRIPS = ("render", "parse_tree", "parse_perm", "render_perm", "_check_bileveled")
-CACHED = (trees._trees, trees._bileveled, posets.weak_order, posets.tamari,
-          posets.bileveled_order)
+CACHED = (trees._trees, trees._upsets, trees._bileveled, trees._parsed, posets.weak_order,
+          posets.tamari, posets.bileveled_order)
 
 
 @pytest.fixture
@@ -188,6 +239,14 @@ def test_tables_and_orders_build_keys_without_round_trips(refuse, monkeypatch):
     # the bi-leveled order reads its covers off its own keys
     monkeypatch.setattr(posets, "tamari", no_tamari)
     assert len(posets.bileveled_order(6)) == 322
+
+
+def test_key_tables_build_no_tree_object(refuse):
+    refuse("parse_tree", "_crowned", "PlanarTree", "BiLeveledTree")
+    assert [len(enumerate_family("Y", n)) for n in range(9)] == [
+        1, 1, 2, 5, 14, 42, 132, 429, 1430]
+    assert [len(enumerate_family("M", n)) for n in range(1, 9)] == [
+        1, 2, 6, 21, 80, 322, 1348, 5814]
 
 
 def test_sweep_suites_take_the_objects_they_enumerated(refuse):

@@ -658,6 +658,20 @@ def test_object_tables_refuse_sizes_too_large_to_hold(objects, family, limit):
         objects(limit + 1)
 
 
+@pytest.mark.parametrize("objects, family, n, message", [
+    (all_trees, "Y", -1, "size must be nonnegative"),
+    (all_bileveled, "M", -1, "size must be nonnegative"),
+    (all_bileveled, "M", 0, "there is no bi-leveled tree on 0 nodes")])
+def test_object_tables_refuse_bad_sizes_as_the_enumeration_does(objects, family, n, message):
+    for call in (objects, lambda n: enumerate_family(family, n)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(n)
+
+
+def test_the_plain_table_on_zero_nodes_is_the_leaf():
+    assert all_trees(0) == (LEAF,)
+
+
 def test_coinvariant_shape_matches_single_cut():
     for n in range(1, 6):
         for key in enumerate_family("M", n):
