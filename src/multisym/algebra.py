@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -18,10 +19,12 @@ from functools import lru_cache, partial
 
 from . import posets
 from .trees import (
+    _CIRCLE,
     _PLAIN,
     _UNCIRCLE,
     MAPS,
     _beta_key,
+    _check_count,
     _coinvariant_key,
     _interleave,
     _key_word,
@@ -140,7 +143,6 @@ def tensor_to_json(t: TensorCombo) -> str:
 # map checks its arguments first and builds a fresh combination on every call.
 
 _PROJECT = {"S": lambda w: render_perm(_standardize(w)), "Y": _tau_key, "M": _beta_key}
-_CIRCLE = str.maketrans("()", "{}")
 
 
 def _read(family: str, key: str) -> tuple[int, ...]:
@@ -221,20 +223,23 @@ def _shuffle(left: str, x: str, right: str, y: str) -> tuple:
     it, projected to ``left`` keys.  A tree acting on a circled key
     (``left != right``) keeps the words whose first letter is the circled
     key's, so that letter stays the least circled one and every node of the
-    tree is circled."""
+    tree is circled.  Past 10! terms it is refused before any is built."""
     u = _read(left, x)
     if left == "S":
-        # v raised above u: every interleaving is already a word on 1..n + p
         v = _read(right, y)
-        every = itertools.combinations_with_replacement(range(len(u) + 1), len(v))
-        return _frozen(Counter(render_perm(_interleave(u, cuts, v)) for cuts in every))
-    # the first segment walk checks x, and the walk of v checks y, which is
-    # then the base of every graft
-    segments = _segments(u, _PLAIN if left == "Y" else u[0])
-    _check(left, x, segments[0][-1])
-    v = _read(right, y)
-    _check(right, y, _PROJECT[right](v))
+    else:
+        # the first segment walk checks x, and the walk of v checks y, which
+        # is then the base of every graft
+        segments = _segments(u, _PLAIN if left == "Y" else u[0])
+        _check(left, x, segments[0][-1])
+        v = _read(right, y)
+        _check(right, y, _PROJECT[right](v))
     n, p = len(u), len(v)
+    _check_count("a shuffle", "terms", math.comb(n + p, p))
+    if left == "S":
+        # v raised above u: every interleaving is already a word on 1..n + p
+        every = itertools.combinations_with_replacement(range(n + 1), p)
+        return _frozen(Counter(render_perm(_interleave(u, cuts, v)) for cuts in every))
     if left == "Y":
         return _frozen(Counter(_grafts(
             segments, y, itertools.combinations_with_replacement(range(n + 1), p))))

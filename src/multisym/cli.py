@@ -15,11 +15,11 @@ from . import algebra, posets, series, trees, verify
 from .trees import ParseError, ValidityError
 
 
-def _emit_key(family: str, key: str, as_json: bool) -> None:
+def _emit_keys(family: str, keys, as_json: bool) -> None:
+    """One line per key, written at once."""
     if as_json:
-        print(json.dumps({"family": family, "key": key}, sort_keys=True))
-    else:
-        print(key)
+        keys = [json.dumps({"family": family, "key": key}, sort_keys=True) for key in keys]
+    sys.stdout.write("\n".join([*keys, ""]))
 
 
 def _emit_combo(combo: algebra.LinearCombo, as_json: bool) -> None:
@@ -39,15 +39,14 @@ def _emit_tensor(tensor: algebra.TensorCombo, as_json: bool) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    for key in trees.enumerate_family(args.family, args.n):
-        _emit_key(args.family, key, args.json)
+    _emit_keys(args.family, trees.enumerate_family(args.family, args.n), args.json)
     return 0
 
 
 def _cmd_map(args) -> int:
     source, target, func = trees.MAPS[args.op]
     result = func(trees.parse_key(source, args.input))
-    _emit_key(target, trees.render_key(target, result), args.json)
+    _emit_keys(target, [trees.render_key(target, result)], args.json)
     return 0
 
 
@@ -138,8 +137,7 @@ def _cmd_hasse(args) -> int:
 
 
 def _cmd_coinvariants(args) -> int:
-    for key in algebra.coinvariant_basis(args.n):
-        _emit_key("M", key, args.json)
+    _emit_keys("M", algebra.coinvariant_basis(args.n), args.json)
     return 0
 
 

@@ -1,8 +1,9 @@
 """Planar binary trees, circled-node trees, and the maps between them.
 
-Everything here is immutable and exact.  Canonical strings use ``.`` for a
-leaf, ``(LR)`` for a plain internal node and ``{LR}`` for a circled one;
-permutations render as digit strings (comma separated past nine letters).
+Everything here is immutable and exact.  Canonical strings (keys) use ``.``
+for a leaf, ``(LR)`` for a plain internal node and ``{LR}`` for a circled
+one; a tree object holds its key, which ``render`` reads.  Permutations
+render as digit strings (comma separated past nine letters).
 Internal nodes are indexed 1..n in in-order (left subtree, node, right
 subtree), and all circled-node bookkeeping is done on those indices.
 """
@@ -13,7 +14,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 
@@ -33,81 +34,141 @@ class ArityError(ValueError):
 # core types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PlanarTree:
-    """Rooted planar binary tree; the bare leaf (no children) has size 0."""
+    """Rooted planar binary tree; the bare leaf (no children) has size 0.  It
+    is its canonical key: equality and hashing compare ``key``, and ``left``
+    and ``right`` are read off it on first access and kept."""
 
-    left: PlanarTree | None = None
-    right: PlanarTree | None = None
-    size: int = field(init=False, compare=False)
+    key: str
+    size: int = field(compare=False)
 
-    def __post_init__(self):
-        if (self.left is None) != (self.right is None):
+    def __init__(self, left: PlanarTree | None = None, right: PlanarTree | None = None):
+        if (left is None) != (right is None):
             raise ValueError("an internal node needs both children, a leaf neither")
-        n = 0 if self.left is None else self.left.size + self.right.size + 1
-        object.__setattr__(self, "size", n)
+        _hold(self, "." if left is None else "(" + left.key + right.key + ")")
+
+    @cached_property
+    def left(self) -> PlanarTree | None:
+        return None if self.is_leaf else _of_key(self.key[1:_subtree_end(self.key, 1)])
+
+    @cached_property
+    def right(self) -> PlanarTree | None:
+        return None if self.is_leaf else _of_key(self.key[_subtree_end(self.key, 1):-1])
 
     @property
     def is_leaf(self) -> bool:
-        return self.left is None
+        return self.key == "."
 
     def __repr__(self):
-        return f"PlanarTree[{render(self)}]"
+        return f"PlanarTree[{self.key}]"
 
 
-LEAF = PlanarTree()
-
-
-def _check_bileveled(tree: PlanarTree, circled: frozenset[int]) -> None:
-    n = tree.size
-    if n == 0:
-        raise ValidityError("a circled tree needs at least one node")
-    indices = range(1, n + 1)
-    if not all(c in indices for c in circled):
-        raise ValidityError(f"circled indices out of range 1..{n}")
-    if 1 not in circled:
-        raise ValidityError("leftmost node (index 1) must be circled")
-    # one walk over the nodes as (subtree, index offset, parent index); a
-    # circled child of node 1 is reported at once, else the smallest circled
-    # node below an uncircled one
-    smallest, stack = None, [(tree, 0, None)]
-    while stack:
-        t, offset, parent = stack.pop()
-        if t.is_leaf:
-            continue
-        i = offset + t.left.size + 1
-        if i in circled and parent is not None:
-            if parent == 1:
-                raise ValidityError("leftmost node must have no circled children")
-            if parent not in circled and (smallest is None or i < smallest):
-                smallest = i
-        stack += ((t.left, offset, i), (t.right, i, i))
-    if smallest is not None:
-        raise ValidityError(f"circled node {smallest} has an uncircled parent")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BiLeveledTree:
     """A planar tree with an upward-closed crown of circled nodes.
 
     ``circled`` holds in-order node indices.  Validity: node 1 is circled
     and has no circled children, and every circled non-root node has a
-    circled parent (so the crown is connected and contains the root).
+    circled parent (so the crown is connected and contains the root).  Like
+    a plain tree, it is its key: ``tree`` and ``circled`` are read off it on
+    first access and kept.
     """
 
-    tree: PlanarTree
-    circled: frozenset[int]
+    key: str
+    size: int = field(compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "circled", frozenset(self.circled))
-        _check_bileveled(self.tree, self.circled)
+    def __init__(self, tree: PlanarTree, circled):
+        key, circled = render(tree), frozenset(circled)
+        _check_bileveled(key, circled)
+        # the key of a fiber word with the crown's letters on top, node 1's
+        # lowest: a circled node's parent is circled and not node 1
+        n = len(key) // 3
+        _hold(self, _beta_key(tuple(a + n * (2 * (i in circled) - (i == 1))
+                                    for i, a in enumerate(_key_word(key), 1))))
 
-    @property
-    def size(self) -> int:
-        return self.tree.size
+    @cached_property
+    def tree(self) -> PlanarTree:
+        return _of_key(self.key.translate(_UNCIRCLE))
+
+    @cached_property
+    def circled(self) -> frozenset[int]:
+        """In the least fiber word, the letters of the circled nodes lie above
+        every plain node's (see ``_key_word``)."""
+        plain = self.key.count("(")
+        return frozenset(i for i, a in enumerate(_key_word(self.key), 1) if a > plain)
 
     def __repr__(self):
-        return f"BiLeveledTree[{render(self)}]"
+        return f"BiLeveledTree[{self.key}]"
+
+
+def _hold(obj, key: str):
+    """Write ``key`` and its size (n nodes take 3n + 1 characters) into ``obj``."""
+    fields = obj.__dict__  # a frozen dataclass is written through its dict
+    fields["key"], fields["size"] = key, len(key) // 3
+    return obj
+
+
+LEAF = PlanarTree()
+
+
+def _of_key(key: str) -> PlanarTree | BiLeveledTree:
+    """The object of a key valid by construction, unchecked: ``LEAF``, a
+    plain tree or a circled one."""
+    if key == ".":
+        return LEAF
+    return _hold(object.__new__(BiLeveledTree if "{" in key else PlanarTree), key)
+
+
+def _subtree_end(key: str, start: int) -> int:
+    """The index just after the subtree whose key starts at ``start``: on s
+    nodes it spans 3s + 1 characters, and any shorter prefix of it has more
+    than (length - 1) / 3 openers, so s is the fixed point of this count."""
+    size, count = -1, 0
+    while count != size:
+        size = count
+        window = key[start:start + 3 * size + 1]
+        count = window.count("(") + window.count("{")
+    return start + 3 * size + 1
+
+
+def _parents(key: str) -> dict[int, int | None]:
+    """The parent of each node of a tree key (None for the root), by in-order
+    index, read in one scan: a node takes the next index, the number of
+    leaves read, once its left subtree closes."""
+    index, up, stack, leaves = [], [], [], 0  # up: the parent's place in index
+    for ch in key:
+        if ch == ".":
+            leaves += 1
+        elif ch in "({":
+            up.append(stack[-1] if stack else None)
+            stack.append(len(index))
+            index.append(0)
+            continue
+        else:
+            stack.pop()
+        if stack and not index[stack[-1]]:
+            index[stack[-1]] = leaves
+    return {i: None if q is None else index[q] for i, q in zip(index, up)}
+
+
+def _check_bileveled(key: str, circled: frozenset[int]) -> None:
+    """Check ``circled`` as a crown of the tree of ``key``; a circled child of
+    node 1 is reported before the smallest circled node below a plain one."""
+    n = len(key) // 3
+    if n == 0:
+        raise ValidityError("a circled tree needs at least one node")
+    if not all(c in range(1, n + 1) for c in circled):
+        raise ValidityError(f"circled indices out of range 1..{n}")
+    if 1 not in circled:
+        raise ValidityError("leftmost node (index 1) must be circled")
+    parent = _parents(key)
+    below = [i for i, p in parent.items() if p is not None and i in circled]
+    if any(parent[i] == 1 for i in below):
+        raise ValidityError("leftmost node must have no circled children")
+    bad = [i for i in below if parent[i] not in circled]
+    if bad:
+        raise ValidityError(f"circled node {min(bad)} has an uncircled parent")
 
 
 @dataclass(frozen=True)
@@ -164,41 +225,20 @@ class Splitting:
 
 
 def render(obj) -> str:
-    """Canonical string of a tree or bi-leveled tree."""
-    if isinstance(obj, PlanarTree):
-        tree, circled = obj, frozenset()
-    elif isinstance(obj, BiLeveledTree):
-        tree, circled = obj.tree, obj.circled
-    else:
-        raise TypeError(f"cannot render {type(obj).__name__}")
-    # pre-order walk; a closing bracket waits on the stack below the
-    # subtrees it closes
-    out, stack = [], [(tree, 0)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        t, offset = item
-        if t.is_leaf:
-            out.append(".")
-            continue
-        root = offset + t.left.size + 1
-        opener, closer = "{}" if root in circled else "()"
-        out.append(opener)
-        stack += (closer, (t.right, root), (t.left, offset))
-    return "".join(out)
+    """Canonical string of a tree or bi-leveled tree: the key it holds."""
+    if isinstance(obj, (PlanarTree, BiLeveledTree)):
+        return obj.key
+    raise TypeError(f"cannot render {type(obj).__name__}")
 
 
 def parse_tree(text: str) -> PlanarTree | BiLeveledTree:
     """Parse a canonical string; circled braces yield a validated BiLeveledTree.
 
     One left-to-right scan: each open node waits on the stack for its two
-    children, and takes the next in-order index once its left child is done.
+    children, then for its closer.
     """
-    stack: list[list] = []  # open nodes: [closer, is circled, left child]
-    circled: list[int] = []
-    seen, i, end = 0, 0, len(text)
+    stack: list[list] = []  # open nodes: [closer, left child done]
+    i, end = 0, len(text)
     while True:
         # a tree starts at i
         if i >= end:
@@ -206,29 +246,25 @@ def parse_tree(text: str) -> PlanarTree | BiLeveledTree:
         ch = text[i]
         i += 1
         if ch in "({":
-            stack.append([")" if ch == "(" else "}", ch == "{", None])
+            stack.append([")" if ch == "(" else "}", False])
             continue
         if ch != ".":
             raise ParseError(f"unexpected character {ch!r} at position {i - 1}: {text!r}")
-        node = LEAF
         # a tree ends before i: it is the left child, the right child or the root
-        while stack and stack[-1][2] is not None:
-            closer, _, left = stack.pop()
+        while stack and stack[-1][1]:
+            closer = stack.pop()[0]
             if i >= end or text[i] != closer:
                 raise ParseError(f"expected {closer!r} at position {i}: {text!r}")
-            node = PlanarTree(left, node)
             i += 1
         if not stack:
             break
-        stack[-1][2] = node
-        seen += 1
-        if stack[-1][1]:
-            circled.append(seen)
+        stack[-1][1] = True
     if i != end:
         raise ParseError(f"trailing characters at position {i}: {text!r}")
-    if circled:
-        return BiLeveledTree(node, frozenset(circled))
-    return node
+    obj = _of_key(text)
+    if isinstance(obj, BiLeveledTree):
+        _check_bileveled(text, obj.circled)
+    return obj
 
 
 def render_perm(word: tuple[int, ...]) -> str:
@@ -298,29 +334,22 @@ def render_key(family: str, obj) -> str:
 
 def node_relations(tree: PlanarTree):
     """Parent and (left, right) child indices for each in-order node index."""
-    parent: dict[int, int | None] = {}
-    children: dict[int, tuple[int | None, int | None]] = {}
-    stack = [(tree, 0, None)]  # (subtree, index offset, parent index)
-    while stack:
-        t, offset, par = stack.pop()
-        if t.is_leaf:
-            continue
-        root = offset + t.left.size + 1
-        parent[root] = par
-        children[root] = tuple(None if c.is_leaf else start + c.left.size + 1
-                               for c, start in ((t.left, offset), (t.right, root)))
-        stack += ((t.left, offset, root), (t.right, root, root))
-    return parent, children
+    parent = _parents(render(tree))
+    children: dict[int, list[int | None]] = {i: [None, None] for i in sorted(parent)}
+    for i, p in parent.items():
+        if p is not None:
+            children[p][i > p] = i
+    return parent, {i: tuple(pair) for i, pair in children.items()}
 
 
 def right_spine(tree: PlanarTree) -> list[int]:
-    """In-order indices of the root and its iterated right children."""
-    spine, node, start = [], tree, 0
-    while not node.is_leaf:
-        root = start + node.left.size + 1
-        spine.append(root)
-        node, start = node.right, root
-    return spine
+    """In-order indices of the root and its iterated right children: the
+    places of the right-to-left maxima of the minimal word."""
+    word, spine = min_word(tree), []
+    for i in range(len(word), 0, -1):
+        if not spine or word[i - 1] > word[spine[-1] - 1]:
+            spine.append(i)
+    return spine[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +398,8 @@ def _bileveled(n: int) -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def _parsed(family: str, n: int) -> tuple:
-    """The objects of ``enumerate_family(family, n)``, parsed once per size."""
-    return tuple(map(parse_tree, enumerate_family(family, n)))
+    """The objects of ``enumerate_family(family, n)``, made once per size."""
+    return tuple(map(_of_key, enumerate_family(family, n)))
 
 
 def all_trees(n: int) -> tuple[PlanarTree, ...]:
@@ -394,6 +423,13 @@ MAX_ENUMERATION_N = {"S": 10, "Y": 14, "M": 12}
 def _check_size(order: str, n: int, limit: int) -> None:
     if n > limit:
         raise ValueError(f"{order} is limited to n <= {limit}, got n = {n}")
+
+
+def _check_count(what: str, unit: str, count: int) -> None:
+    """Refuse ``what`` past the 10! items of the S_10 table, before any is built."""
+    limit = math.factorial(MAX_ENUMERATION_N["S"])
+    if count > limit:
+        raise ValueError(f"{what} is limited to {limit} {unit}, got {count}")
 
 
 def check_enumeration_size(family: str, n: int) -> None:
@@ -425,36 +461,21 @@ def enumerate_family(family: str, n: int) -> list[str]:
 
 
 def tree_of_perm(word: tuple[int, ...]) -> PlanarTree:
-    """The unique tree whose node order the word extends (largest value at the root).
-
-    One left-to-right pass: the stack holds the right spine built so far,
-    letters decreasing, each with its finished left part; a letter takes
-    the smaller letters it pops as its left part.
-    """
-    stack = []
-    for a in word:
-        below = LEAF
-        while stack and stack[-1][0] < a:
-            b, left = stack.pop()
-            below = PlanarTree(left, below)
-        stack.append((a, below))
-    out = LEAF
-    while stack:
-        out = PlanarTree(stack.pop()[1], out)
-    return out
+    """The unique tree whose node order the word extends (largest value at
+    the root), held as the key of the word's decreasing-tree walk."""
+    return _of_key(_tau_key(word))
 
 
-# Keys are joined as strings by one stack walk, with no tree built.  The
-# decreasing tree of a word is its right spine, each spine node with the
+# The decreasing tree of a word is its right spine, each spine node with the
 # finished part on its left; its key is the spine's heads (opening bracket
 # and left part), a leaf, and the spine's closing brackets, deepest first.
-# The inverse reads a key's word straight off its brackets (``_key_word``):
-# the walk of that word gives the key back, circled from its first letter
-# for a circled key.
+# The inverse reads a key's word off its brackets (``_key_word``): the walk
+# of that word gives the key back, circled from its first letter if circled.
 
 _PLAIN = sys.maxsize  # a threshold above every letter: nothing circled
 _MIRROR = str.maketrans("()", ")(")
 _UNCIRCLE = str.maketrans("{}", "()")  # a circled key to its shape's key
+_CIRCLE = str.maketrans("()", "{}")
 
 
 def _prefix_keys(word: tuple[int, ...], circle_from: int = _PLAIN,
@@ -499,14 +520,15 @@ def _suffix_keys(word: tuple[int, ...]) -> list[str]:
 
 
 def _tau_key(word: tuple[int, ...]) -> str:
-    """``render(tree_of_perm(word))``."""
+    """The key of the decreasing tree of ``word``, the last of its prefix walk."""
     return _prefix_keys(word, _PLAIN, False)[0]
 
 
 def _beta_key(word: tuple[int, ...]) -> str:
-    """``render(bileveled_of_perm(word))`` for a nonempty word, valid by
-    construction: the first letter is circled, its children are smaller, and
-    a circled node's parent is a larger letter, so circled too."""
+    """The key of the decreasing tree of a nonempty word circled from its
+    first letter, valid by construction: the first letter is circled, its
+    children are smaller, and a circled node's parent, a larger letter, is
+    circled too."""
     return _prefix_keys(word, word[0], False)[0]
 
 
@@ -586,9 +608,7 @@ def fiber_of_tree(t: PlanarTree) -> list[tuple[int, ...]]:
     if t.size == 0:
         raise ValueError("fibers are defined for trees with at least one node")
     key = render(t)
-    size, limit = _fiber_size(key), math.factorial(MAX_ENUMERATION_N["S"])
-    if size > limit:
-        raise ValueError(f"a tree fiber is limited to {limit} words, got {size}")
+    _check_count("a tree fiber", "words", _fiber_size(key))
     return _key_fiber(key)
 
 
@@ -602,21 +622,11 @@ def max_word(t: PlanarTree) -> tuple[int, ...]:
     return _key_word(render(t), True)
 
 
-def _crowned(tree: PlanarTree, circled: frozenset[int]) -> BiLeveledTree:
-    """A ``BiLeveledTree`` built without ``_check_bileveled``, for a crown
-    valid by construction."""
-    b = object.__new__(BiLeveledTree)
-    object.__setattr__(b, "tree", tree)
-    object.__setattr__(b, "circled", circled)
-    return b
-
-
 def bileveled_of_perm(word: tuple[int, ...]) -> BiLeveledTree:
     """Tree of the word with every node carrying a value >= the first letter circled."""
     if not word:
         raise ValidityError("the empty word has no bi-leveled image")
-    circled = frozenset(i + 1 for i, a in enumerate(word) if a >= word[0])
-    return _crowned(tree_of_perm(word), circled)  # valid by construction, see _beta_key
+    return _of_key(_beta_key(word))
 
 
 def strip_circles(b: BiLeveledTree) -> PlanarTree:
@@ -644,7 +654,7 @@ def forest_decomposition(b: BiLeveledTree) -> ForestDecomposition:
     it, read off its least fiber word: the base takes the top letters, each
     followed by the word of the tree hanging after it."""
     word = fiber_min_word(b)
-    free = b.size - len(b.circled)  # letters below the base's
+    free = render(b).count("(")  # letters below the base's
     starts = [i for i, a in enumerate(word) if a > free]
     ends = starts[1:] + [len(word)]
     return ForestDecomposition(tree_of_perm(tuple(word[i] for i in starts)), tuple(
@@ -653,13 +663,10 @@ def forest_decomposition(b: BiLeveledTree) -> ForestDecomposition:
 
 def compose_decomposition(dec: ForestDecomposition) -> BiLeveledTree:
     """Inverse of ``forest_decomposition``; rejects forests whose reassembly is invalid."""
-    tree = graft((LEAF,) + dec.hanging, dec.base)
-    sizes = [LEAF.size] + [t.size for t in dec.hanging]
-    circled, acc = set(), 0
-    for k in range(1, dec.base.size + 1):
-        acc += sizes[k - 1]
-        circled.add(acc + k)
-    return BiLeveledTree(tree, frozenset(circled))
+    if dec.base.size == 0:
+        raise ValidityError("a circled tree needs at least one node")
+    base = render(dec.base).translate(_CIRCLE)
+    return parse_tree(_fill(base, [".", *map(render, dec.hanging)]))  # leaf 1 keeps nothing
 
 
 # ---------------------------------------------------------------------------
@@ -707,10 +714,7 @@ def splittings(obj: PlanarTree | BiLeveledTree, p: int,
     """
     if p < 0:
         raise ValueError("cannot choose a negative number of leaves")
-    if isinstance(obj, BiLeveledTree):
-        tree, circled = obj.tree, obj.circled
-    else:
-        tree, circled = obj, None
+    tree, circled = (obj.tree, obj.circled) if isinstance(obj, BiLeveledTree) else (obj, None)
     out = []
     for leaves in itertools.combinations_with_replacement(range(1, tree.size + 2), p):
         pieces = split_at(tree, leaves)
@@ -720,18 +724,18 @@ def splittings(obj: PlanarTree | BiLeveledTree, p: int,
     return out
 
 
+def _fill(key: str, pieces) -> str:
+    """``key`` with the keys ``pieces``, in order, in place of its leaves."""
+    parts = key.split(".")
+    return "".join([a + b for a, b in zip(parts, pieces)]) + parts[-1]
+
+
 def graft(forest, base: PlanarTree) -> PlanarTree:
     """Attach the ``base.size + 1`` trees of ``forest`` above the leaves of ``base``."""
     pieces = tuple(forest.pieces) if isinstance(forest, Splitting) else tuple(forest)
     if len(pieces) != base.size + 1:
         raise ArityError(f"{len(pieces)} pieces cannot graft onto {base.size} nodes")
-    # the pieces' minimal words on consecutive low blocks, cut between pieces
-    word, cuts = [], []
-    for t in pieces:
-        shift = len(word)
-        word += [a + shift for a in min_word(t)]
-        cuts.append(len(word))
-    return tree_of_perm(_interleave(word, cuts[:-1], min_word(base)))
+    return _of_key(_fill(render(base), map(render, pieces)))
 
 
 def _graft_circled(splitting: Splitting, base_word: tuple[int, ...]) -> BiLeveledTree:
@@ -768,7 +772,7 @@ def graft_onto_tree(splitting: Splitting, base: PlanarTree) -> BiLeveledTree:
 
 def right_graft(b: BiLeveledTree, s: PlanarTree) -> BiLeveledTree:
     """Attach ``s``, uncircled, at the rightmost leaf of ``b``."""
-    return BiLeveledTree(graft((LEAF,) * b.size + (s,), b.tree), b.circled)
+    return _of_key(_fill(render(b), ["."] * b.size + [render(s)]))
 
 
 def right_cuts(b: BiLeveledTree) -> list[tuple[BiLeveledTree, PlanarTree]]:
@@ -838,17 +842,11 @@ def avoids_pinned(word: tuple[int, ...]) -> bool:
 
 
 def left_comb(n: int) -> PlanarTree:
-    t = LEAF
-    for _ in range(n):
-        t = PlanarTree(t, LEAF)
-    return t
+    return _of_key("(" * n + "." + ".)" * n)
 
 
 def right_comb(n: int) -> PlanarTree:
-    t = LEAF
-    for _ in range(n):
-        t = PlanarTree(LEAF, t)
-    return t
+    return _of_key("(." * n + "." + ")" * n)
 
 
 def to_left_comb(t: PlanarTree) -> PlanarTree:
@@ -863,17 +861,17 @@ def qsym_composition(b: BiLeveledTree) -> tuple[int, ...]:
     """The composition (|s_1|+1, ..., |s_p|+1) of the forest decomposition,
     read off the least fiber word, where each base letter starts a part."""
     word = fiber_min_word(b)
-    free = b.size - len(b.circled)  # letters below the base's
+    free = render(b).count("(")  # letters below the base's
     starts = [i for i, a in enumerate(word) if a > free] + [len(word)]
     return tuple(j - i for i, j in zip(starts, starts[1:]))
 
 
 def bileveled_of_composition(parts: tuple[int, ...]) -> BiLeveledTree:
     """The comb of combs indexed by a composition: circled left-comb base,
-    right combs hanging above its leaves, joined as a key and parsed."""
+    right combs hanging above its leaves, joined as a key."""
     if not parts or any(a < 1 for a in parts):
         raise ValidityError("composition parts must be positive")
-    return parse_tree("{" * len(parts) + "." + "".join(
+    return _of_key("{" * len(parts) + "." + "".join(
         "(." * (a - 1) + "." + ")" * (a - 1) + "}" for a in parts))
 
 

@@ -383,6 +383,16 @@ def test_hopf_module_check_refuses_bad_keys_as_the_parser_does(b, s, family, bad
     assert str(got.value) == str(parsed.value)
 
 
+def test_hopf_module_check_refuses_a_shuffle_past_ten_factorial_terms(monkeypatch):
+    def fail(*args):
+        raise AssertionError("grafted past the shuffle guard")
+    monkeypatch.setattr(algebra, "_grafts", fail)
+    comb = "{" * 13 + "." + ".}" * 13
+    with pytest.raises(ValueError) as exc:
+        check_hopf_module(comb, "(." * 13 + "." + ")" * 13)
+    assert str(exc.value) == "a shuffle is limited to 3628800 terms, got 10400600"
+
+
 def test_fiber_monomial_sum():
     assert check_fiber_monomial_sum("{{.(..)}(..)}").passed
     for key in enumerate_family("M", 3):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from multisym import cli, posets, trees, verify
+from multisym import algebra, cli, posets, trees, verify
 from multisym.trees import bileveled_of_perm, parse_perm, render
 
 
@@ -269,6 +269,30 @@ def test_fiber_past_ten_factorial_words_exits_two(capsys, monkeypatch):
     code, out, err = run(capsys, "fiber", "--map", "tau", "--input", complete_tree(4))
     assert (code, out) == (2, "")
     assert err == "error: a tree fiber is limited to 3628800 words, got 21964800\n"
+
+
+RIGHT_COMB_13 = "(." * 13 + "." + ")" * 13
+CIRCLED_COMB_13 = "{" * 13 + "." + ".}" * 13
+WORD_13 = ",".join(map(str, range(13, 0, -1)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["product", "--family", "Y", "--left", RIGHT_COMB_13, "--right", RIGHT_COMB_13],
+    ["product", "--family", "M", "--left", CIRCLED_COMB_13, "--right", CIRCLED_COMB_13],
+    ["product", "--family", "S", "--left", WORD_13, "--right", WORD_13],
+    ["act", "--left", CIRCLED_COMB_13, "--right", RIGHT_COMB_13],
+    ["act", "--left", WORD_13, "--right", CIRCLED_COMB_13],
+], ids=["product Y", "product M", "product S", "act tree", "act word"])
+def test_shuffle_past_ten_factorial_terms_exits_two(capsys, monkeypatch, argv):
+    # two factors on 13 letters interleave in C(26, 13) ways: the count is
+    # refused before the first interleaving or graft
+    def fail(*args):
+        raise AssertionError("interleaved past the shuffle guard")
+    monkeypatch.setattr(algebra, "_grafts", fail)
+    monkeypatch.setattr(algebra, "_interleave", fail)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: a shuffle is limited to 3628800 terms, got 10400600\n"
 
 
 def run_on_a_short_stack(capsys, *argv):

@@ -11,9 +11,10 @@ before circled trees were enumerated without rejection, the nine after them
 before the fiber words, right cuts and basis conversions were each written
 once, the six after them before cutting, grafting and the structure maps
 moved to fiber words, the seven after them before words were projected
-straight to tree and circled keys, with no tree objects built, and the last
-eight before the poset indices moved to a linear extension and the Möbius
-rows to the crosscut theorem.  A refactor must reproduce them exactly.  To regenerate after an
+straight to tree and circled keys, with no tree objects built, the eight
+after them before the poset indices moved to a linear extension and the
+Möbius rows to the crosscut theorem, and the last one before an
+enumeration's lines were written in one piece.  A refactor must reproduce them exactly.  To regenerate after an
 intended output change, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -111,6 +112,8 @@ COMMANDS = [
     ["convert", "--family", "Y", "--from", "M", "--to", "F", "--key", "((((((..).).).).).)"],
     ["convert", "--family", "M", "--from", "M", "--to", "F", "--key", "{{{{..}.}.}{..}}"],
     ["convert", "--family", "M", "--from", "M", "--to", "F", "--key", "{{{{{{..}.}.}.}.}.}"],
+    # the machine form of an enumeration, which is written in one piece
+    ["enumerate", "--family", "Y", "--n", "4", "--json"],
 ]
 
 

@@ -242,11 +242,36 @@ def test_tables_and_orders_build_keys_without_round_trips(refuse, monkeypatch):
 
 
 def test_key_tables_build_no_tree_object(refuse):
-    refuse("parse_tree", "_crowned", "PlanarTree", "BiLeveledTree")
+    refuse("parse_tree", "PlanarTree", "BiLeveledTree")
     assert [len(enumerate_family("Y", n)) for n in range(9)] == [
         1, 1, 2, 5, 14, 42, 132, 429, 1430]
     assert [len(enumerate_family("M", n)) for n in range(1, 9)] == [
         1, 2, 6, 21, 80, 322, 1348, 5814]
+
+
+def test_tree_objects_are_made_from_keys_without_their_constructors(monkeypatch):
+    # only public construction from parts runs a constructor; a key valid by
+    # construction becomes its object directly
+    def fail(*args):
+        raise AssertionError("a tree constructor ran on a key")
+    monkeypatch.setattr(trees.PlanarTree, "__init__", fail)
+    monkeypatch.setattr(trees.BiLeveledTree, "__init__", fail)
+    trees._parsed.cache_clear()
+    try:
+        assert render(trees.parse_tree("((..)(..))")) == "((..)(..))"
+        assert render(trees.parse_tree("{{..}(..)}")) == "{{..}(..)}"
+        assert trees.parse_tree(".") is trees.LEAF
+        assert render(trees.tree_of_perm((2, 3, 1))) == "((..)(..))"
+        assert render(trees.bileveled_of_perm((2, 3, 1))) == "{{..}(..)}"
+        assert render(trees.left_comb(2)) == "((..).)"
+        assert render(trees.right_comb(2)) == "(.(..))"
+        assert [render(t) for t in all_trees(4)] == enumerate_family("Y", 4)
+        assert [render(b) for b in all_bileveled(4)] == enumerate_family("M", 4)
+        b = trees.parse_tree("{{..}(..)}")
+        assert (render(b.tree), b.circled) == ("((..)(..))", {1, 2})
+        assert (render(b.tree.left), render(b.tree.right)) == ("(..)", "(..)")
+    finally:
+        trees._parsed.cache_clear()
 
 
 def test_sweep_suites_take_the_objects_they_enumerated(refuse):

@@ -138,6 +138,77 @@ def test_deep_keys_round_trip(key):
     assert render(obj) == key
 
 
+DEEP = {
+    "left comb": lambda: left_comb(5000),
+    "right comb": lambda: right_comb(5000),
+    "circled left comb": lambda: parse_tree("{" * 5000 + "." + ".}" * 5000),
+    "circled right comb": lambda: BiLeveledTree(right_comb(5000), {1}),
+    "tau of an increasing word": lambda: tree_of_perm(tuple(range(1, 3001))),
+    "beta of an increasing word": lambda: bileveled_of_perm(tuple(range(1, 3001))),
+    "beta of a decreasing word": lambda: bileveled_of_perm(tuple(range(3000, 0, -1))),
+}
+
+
+@pytest.mark.parametrize("make", DEEP.values(), ids=DEEP.keys())
+def test_deep_trees_compare_and_hash_without_recursion(make):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert b in {a} and len({a, b}) == 1
+    assert a != LEAF and a != render(a)
+
+
+def split_key(key):
+    """The keys of the two subtrees of an internal node's key, by recursion
+    on the grammar: a subtree is a leaf or an opener, two subtrees and a
+    closer."""
+    def end(i):
+        return i + 1 if key[i] == "." else end(end(i + 1)) + 1
+    middle = end(1)
+    return key[1:middle], key[middle:-1]
+
+
+def read_key(key, offset=0, parent=None):
+    """Each node of ``key`` as (in-order index, parent, left child, right
+    child, circled), and the root's index, by recursion on its subtrees."""
+    if key == ".":
+        return [], None
+    left, right = split_key(key)
+    index = offset + left.count(".")
+    left_nodes, left_root = read_key(left, offset, index)
+    right_nodes, right_root = read_key(right, index, index)
+    return [(index, parent, left_root, right_root, key[0] == "{"),
+            *left_nodes, *right_nodes], index
+
+
+@pytest.mark.parametrize("family, n", [("Y", n) for n in range(8)]
+                         + [("M", n) for n in range(1, 7)])
+def test_tree_objects_read_their_keys_as_the_recursive_grammar_does(family, n):
+    for key in enumerate_family(family, n):
+        obj = parse_tree(key)
+        tree = obj.tree if family == "M" else obj
+        nodes, root = read_key(key)
+        assert render(tree) == key.replace("{", "(").replace("}", ")")
+        assert obj.size == tree.size == len(nodes) == n
+        if n:
+            assert (render(tree.left), render(tree.right)) == split_key(render(tree))
+            assert PlanarTree(tree.left, tree.right) == tree
+        else:
+            assert tree is LEAF and tree.left is None and tree.right is None
+        children = {i: (left, right) for i, _, left, right, _ in nodes}
+        assert trees.node_relations(tree) == (
+            {i: parent for i, parent, *_ in nodes}, children)
+        spine = []
+        while root is not None:
+            spine.append(root)
+            root = children[root][1]
+        assert trees.right_spine(tree) == spine
+        if family == "M":
+            assert obj.circled == {i for i, *_, circled in nodes if circled}
+            assert BiLeveledTree(obj.tree, obj.circled) == obj
+
+
 def validity_failure(tree, circled):
     """The message of the first validity rule ``circled`` breaks, or None;
     the smallest node with an uncircled parent is the one reported."""
