@@ -307,7 +307,9 @@ def action_ssym(w: str, s: str) -> LinearCombo:
 
 
 def action_ysym(b: str, s: str) -> LinearCombo:
-    """Right action of a tree on a circled key via restricted splittings."""
+    """Right action of a tree on a circled key: the shuffles of the key's
+    section word with the tree's minimal word raised above it that keep the
+    section word's first letter first, each projected to its circled key."""
     return LinearCombo("M", "F", dict(_shuffle("M", b, "Y", s)))
 
 

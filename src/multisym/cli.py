@@ -16,9 +16,10 @@ from .trees import ParseError, ValidityError
 
 
 def _emit_keys(family: str, keys, as_json: bool) -> None:
-    """One line per key, written at once."""
+    """One line per key, written at once.  A canonical key holds only
+    ``.(){}``, digits and commas, so its JSON line needs no escaping."""
     if as_json:
-        keys = [json.dumps({"family": family, "key": key}, sort_keys=True) for key in keys]
+        keys = ['{"family": "%s", "key": "%s"}' % (family, key) for key in keys]
     sys.stdout.write("\n".join([*keys, ""]))
 
 

@@ -23,6 +23,7 @@ from .trees import (
     BiLeveledTree,
     _beta_key,
     _check_size,
+    _ends,
     _key_word,
     _tau_key,
     all_bileveled,  # unused here: bench/test_bench.py calls it through this binding
@@ -336,45 +337,17 @@ class FinitePoset:
 # the three concrete orders, one poset per size
 
 
-# S_n keeps two tables of n! masks of n! bits: about 400 MB at n = 8 and
-# about 33 GB at n = 9
-MAX_WEAK_N = 8
+# The largest order of each family: its poset keeps two tables of N masks of
+# N bits for N keys, about 400 MB for S_8 and 33 GB for S_9, 70 MB for Y_10
+# (16,796 keys) and 0.86 GB for Y_11 (58,786), and 165 MB for M_9 (25,674
+# keys) and 3.3 GB for M_10 (115,566)
+MAX_ORDER_N = {"S": 8, "Y": 10, "M": 9}
+_ORDER_NAMES = {"S": "weak order", "Y": "rotation order", "M": "bi-leveled order"}
 
 
-# Y_n keeps the same two tables: about 70 MB at n = 10 (16,796 elements) and
-# about 0.86 GB at n = 11 (58,786 elements)
-MAX_TAMARI_N = 10
-
-
-# M_n keeps the same two tables: about 165 MB at n = 9 (25,674 elements) and
-# about 3.3 GB at n = 10 (115,566 elements)
-MAX_BILEVELED_N = 9
-
-
-def check_weak_size(n: int) -> None:
-    """Refuse a weak order too large for its dense masks, before any work."""
-    _check_size("weak order", n, MAX_WEAK_N)
-
-
-def check_bileveled_size(n: int) -> None:
-    """Refuse a bi-leveled order too large for its dense masks, before any work."""
-    _check_size("bi-leveled order", n, MAX_BILEVELED_N)
-
-
-@lru_cache(maxsize=None)
-def weak_order(n: int) -> FinitePoset:
-    """Left weak order on S_n: covers swap the values k, k+1 when k sits left of k+1."""
-    if n < 1:
-        raise ValueError("weak order needs n >= 1")
-    check_weak_size(n)
-    elements = enumerate_family("S", n)
-    # below the size limit every letter is one digit, so a cover exchanges
-    # two characters of the key
-    letters = "123456789"[:n]
-    swaps = [(a, b, str.maketrans(a + b, b + a)) for a, b in zip(letters, letters[1:])]
-    covers = [(key, key.translate(swap)) for key in elements
-              for a, b, swap in swaps if key.index(a) < key.index(b)]
-    return FinitePoset(elements, covers)
+def check_order_size(family: str, n: int) -> None:
+    """Refuse an order of ``family`` too large for its dense masks, before any work."""
+    _check_size(_ORDER_NAMES[family], n, MAX_ORDER_N[family])
 
 
 def _moves(key: str):
@@ -386,12 +359,7 @@ def _moves(key: str):
     rotation with D carried, the same with D - {x}, or one circle dropped,
     because a rotation only removes the pairs i < j with i in j's left
     subtree and only adds the pairs i < j with j in i's right subtree."""
-    end = [0] * len(key)  # end[i]: the index just after the subtree at i
-    for i in range(len(key) - 1, -1, -1):
-        if key[i] == ".":
-            end[i] = i + 1
-        elif key[i] in "({":
-            end[i] = end[end[i + 1]] + 1
+    end = _ends(key)
     for s, x in enumerate(key):
         if x == "{":
             yield key[:s] + "(" + key[s + 1:end[s] - 1] + ")" + key[end[s]:]
@@ -404,27 +372,44 @@ def _moves(key: str):
                 yield head + "(" + body + ")" + key[m - 1] + key[e:]
 
 
-def _move_order(family: str, n: int, order: str, limit: int) -> FinitePoset:
-    """``order`` on the keys of ``family``, generated by their moves that are keys."""
+def _order(family: str, n: int) -> FinitePoset:
+    """The order on the keys of ``family``, generated by the moves read off
+    each key: for words the swaps of the values k, k+1 where k sits left of
+    k+1, for trees the moves of ``_moves`` that are keys."""
     if n < 1:
-        raise ValueError(f"{order} needs n >= 1")
-    _check_size(order, n, limit)
+        raise ValueError(f"{_ORDER_NAMES[family]} needs n >= 1")
+    check_order_size(family, n)
     keys = enumerate_family(family, n)
-    known = set(keys)
-    return FinitePoset(keys, [(key, up) for key in keys for up in _moves(key) if up in known])
+    if family == "S":
+        # below the size limit every letter is one digit, so a swap
+        # exchanges two characters of the key
+        letters = "123456789"[:n]
+        swaps = [(a, b, str.maketrans(a + b, b + a)) for a, b in zip(letters, letters[1:])]
+        relation = [(key, key.translate(swap)) for key in keys
+                    for a, b, swap in swaps if key.index(a) < key.index(b)]
+    else:
+        known = set(keys)
+        relation = [(key, up) for key in keys for up in _moves(key) if up in known]
+    return FinitePoset(keys, relation)
+
+
+@lru_cache(maxsize=None)
+def weak_order(n: int) -> FinitePoset:
+    """Left weak order on S_n: covers swap the values k, k+1 when k sits left of k+1."""
+    return _order("S", n)
 
 
 @lru_cache(maxsize=None)
 def tamari(n: int) -> FinitePoset:
     """Rotation order on Y_n; the left comb is minimal, the right comb maximal."""
-    return _move_order("Y", n, "rotation order", MAX_TAMARI_N)
+    return _order("Y", n)
 
 
 @lru_cache(maxsize=None)
 def bileveled_order(n: int) -> FinitePoset:
     """Weak order on M_n: compare underlying shapes in the rotation order and
     circled sets by reverse inclusion."""
-    return _move_order("M", n, "bi-leveled order", MAX_BILEVELED_N)
+    return _order("M", n)
 
 
 def poset_for(family: str, n: int) -> FinitePoset:
@@ -444,7 +429,7 @@ def fiber_interval(n: int, b: BiLeveledTree | str) -> tuple[str, str]:
     The fiber must be an interval of the weak order, and its least word must
     match the closed-form minimal word; otherwise ``CertificationError``.
     """
-    check_weak_size(n)
+    check_order_size("S", n)
     key, obj = (b, parse_key("M", b)) if isinstance(b, str) else (render(b), b)
     return _fiber_interval(n, key, fiber_min_word(obj))
 

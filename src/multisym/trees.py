@@ -50,11 +50,11 @@ class PlanarTree:
 
     @cached_property
     def left(self) -> PlanarTree | None:
-        return None if self.is_leaf else _of_key(self.key[1:_subtree_end(self.key, 1)])
+        return None if self.is_leaf else _of_key(self.key[1:_ends(self.key)[1]])
 
     @cached_property
     def right(self) -> PlanarTree | None:
-        return None if self.is_leaf else _of_key(self.key[_subtree_end(self.key, 1):-1])
+        return None if self.is_leaf else _of_key(self.key[_ends(self.key)[1]:-1])
 
     @property
     def is_leaf(self) -> bool:
@@ -120,36 +120,36 @@ def _of_key(key: str) -> PlanarTree | BiLeveledTree:
     return _hold(object.__new__(BiLeveledTree if "{" in key else PlanarTree), key)
 
 
-def _subtree_end(key: str, start: int) -> int:
-    """The index just after the subtree whose key starts at ``start``: on s
-    nodes it spans 3s + 1 characters, and any shorter prefix of it has more
-    than (length - 1) / 3 openers, so s is the fixed point of this count."""
-    size, count = -1, 0
-    while count != size:
-        size = count
-        window = key[start:start + 3 * size + 1]
-        count = window.count("(") + window.count("{")
-    return start + 3 * size + 1
+def _ends(key: str) -> list[int]:
+    """Per index i of a tree key, the index just after the subtree that
+    starts at i (0 at a closer), read in one right-to-left pass: a leaf ends
+    after itself, and a node after the closer that follows its two subtrees.
+    A subtree on s nodes spans 3s + 1 characters."""
+    ends = [0] * len(key)
+    for i in range(len(key) - 1, -1, -1):
+        if key[i] == ".":
+            ends[i] = i + 1
+        elif key[i] in "({":
+            ends[i] = ends[ends[i + 1]] + 1
+    return ends
 
 
 def _parents(key: str) -> dict[int, int | None]:
     """The parent of each node of a tree key (None for the root), by in-order
-    index, read in one scan: a node takes the next index, the number of
-    leaves read, once its left subtree closes."""
-    index, up, stack, leaves = [], [], [], 0  # up: the parent's place in index
-    for ch in key:
+    index: a node's index is the number of leaves up to the end of its left
+    subtree, and its children open just after it and at that end."""
+    ends = _ends(key)
+    up, parent, leaves = [None] * len(key), {}, 0  # up[i]: the parent of the subtree at i
+    for i, ch in enumerate(key):
         if ch == ".":
             leaves += 1
         elif ch in "({":
-            up.append(stack[-1] if stack else None)
-            stack.append(len(index))
-            index.append(0)
-            continue
-        else:
-            stack.pop()
-        if stack and not index[stack[-1]]:
-            index[stack[-1]] = leaves
-    return {i: None if q is None else index[q] for i, q in zip(index, up)}
+            # the left subtree on s nodes spans 3s + 1 characters and has s + 1 leaves
+            mid = ends[i + 1]
+            index = leaves + (mid - i - 1) // 3 + 1
+            parent[index] = up[i]
+            up[i + 1] = up[mid] = index
+    return parent
 
 
 def _check_bileveled(key: str, circled: frozenset[int]) -> None:
@@ -588,18 +588,11 @@ def _key_fiber(key: str) -> list[tuple[int, ...]]:
 
 
 def _fiber_size(key: str) -> int:
-    """The number of words of a tree's fiber, read off ``key`` in one scan:
-    n! over the product of the subtree sizes (the hook length formula for
-    trees)."""
-    sizes, product = [], 1  # sizes of finished subtrees, left first
-    for ch in key:
-        if ch == ".":
-            sizes.append(0)
-        elif ch == ")":
-            size = sizes.pop() + sizes.pop() + 1
-            product *= size
-            sizes.append(size)
-    return math.factorial(sizes[0]) // product
+    """The number of words of a tree's fiber, read off ``key``: n! over the
+    product of the subtree sizes (the hook length formula for trees)."""
+    ends = _ends(key)
+    hooks = math.prod((ends[i] - i) // 3 for i, ch in enumerate(key) if ch in "({")
+    return math.factorial(len(key) // 3) // hooks
 
 
 def fiber_of_tree(t: PlanarTree) -> list[tuple[int, ...]]:

@@ -39,7 +39,7 @@ def suite_dimensions(n_max: int = 6) -> SuiteResult:
 def suite_fibers(n_max: int = 6) -> SuiteResult:
     """Fibers of the bi-leveled projection partition the words, each one an
     interval whose section word is its unique pinned-pattern avoider."""
-    posets.check_weak_size(n_max)
+    posets.check_order_size("S", n_max)
     for n in range(1, n_max + 1):
         fibers = trees.beta_fibers(n)
         keys = trees.enumerate_family("M", n)
@@ -73,7 +73,7 @@ def suite_pinned(n_max: int = 6) -> SuiteResult:
 def suite_tamari_oracle(n_max: int = 5) -> SuiteResult:
     """The rotation order agrees with the order transported through minimal
     words; minimal and maximal words preserve order; tree fibers are intervals."""
-    posets.check_weak_size(n_max)
+    posets.check_order_size("S", n_max)
     for n in range(1, n_max + 1):
         tam, weak = posets.tamari(n), posets.weak_order(n)
         keys = tam.elements
@@ -101,7 +101,7 @@ def suite_galois(n_max: int = 4) -> SuiteResult:
     """The tree pair is a Galois connection with the Möbius transfer identity,
     while the bi-leveled section pair admits none: its adjunction must break
     somewhere in the checked range (the first failure is at size four)."""
-    posets.check_weak_size(n_max)
+    posets.check_order_size("S", n_max)
     for n in range(1, n_max + 1):
         report = posets.check_galois(posets.tree_section_pair(n))
         if not report.passed:
@@ -114,7 +114,7 @@ def suite_galois(n_max: int = 4) -> SuiteResult:
 
 
 def suite_interval_retract(n_max: int = 5) -> SuiteResult:
-    posets.check_weak_size(n_max)
+    posets.check_order_size("S", n_max)
     for n in range(1, n_max + 1):
         report = posets.check_interval_retract(posets.bileveled_section_pair(n))
         if not report.passed:
@@ -127,7 +127,7 @@ def suite_interval_retract(n_max: int = 5) -> SuiteResult:
 
 def suite_thm3(n_max: int = 5) -> SuiteResult:
     """Closed-form monomial coaction versus the transported one, everywhere."""
-    posets.check_bileveled_size(n_max)  # the transport builds the order of M_n
+    posets.check_order_size("M", n_max)  # the transport builds the order of M_n
     for n in range(1, n_max + 1):
         for key in trees.enumerate_family("M", n):
             closed = algebra.coaction_monomial(key)
@@ -139,7 +139,7 @@ def suite_thm3(n_max: int = 5) -> SuiteResult:
 
 def suite_eq8(n_max: int = 4) -> SuiteResult:
     """Fiber sums of monomial words project onto single monomial elements."""
-    posets.check_weak_size(n_max)
+    posets.check_order_size("S", n_max)
     for n in range(1, n_max + 1):
         for key in trees.enumerate_family("M", n):
             if not algebra.check_fiber_monomial_sum(key).passed:

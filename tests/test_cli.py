@@ -35,6 +35,22 @@ def test_enumerate_json(capsys):
     assert json.loads(out) == {"family": "Y", "key": "(..)"}
 
 
+@pytest.mark.parametrize("argv, family", [
+    (["enumerate", "--family", "M", "--n", "4"], "M"),
+    (["coinvariants", "--n", "4"], "M"),
+    (["map", "--op", "beta", "--input", "2413"], "M"),
+    (["map", "--op", "qsym", "--input", "{{..}(..)}"], "Q"),
+], ids=" ".join)
+def test_json_key_lines_are_the_plain_lines_as_json(capsys, argv, family):
+    code, plain, _ = run(capsys, *argv)
+    code2, out, _ = run(capsys, *argv, "--json")
+    assert code == code2 == 0
+    lines = out.splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"family": family, "key": key} for key in plain.splitlines()]
+    assert lines == [json.dumps(json.loads(line), sort_keys=True) for line in lines]
+
+
 def test_map_pipeline_from_the_worked_example(capsys):
     code, out, _ = run(capsys, "map", "--op", "beta", "--input", "56187243")
     assert code == 0
@@ -399,15 +415,17 @@ def test_enumeration_past_its_size_limit_exits_two(capsys, argv, refusal):
     assert err == f"error: enumeration of {refusal}\n"
 
 
+TREE_11 = "(" * 11 + "." + ".)" * 11
 TREE_13 = "(" * 13 + "." + ".)" * 13
 
 
 @pytest.mark.parametrize("argv, n", [
     (["mobius", "--family", "Y", "--n", "13", "--x", TREE_13, "--y", TREE_13], 13),
+    (["mobius", "--family", "Y", "--n", "11", "--x", TREE_11, "--y", TREE_11], 11),
     (["hasse", "--family", "Y", "--n", "13"], 13),
     (["hasse", "--family", "Y", "--n", "11"], 11),
     (["convert", "--family", "Y", "--from", "F", "--to", "M", "--key", TREE_13], 13),
-], ids=["mobius n=13", "hasse n=13", "hasse n=11", "convert n=13"])
+], ids=["mobius n=13", "mobius n=11", "hasse n=13", "hasse n=11", "convert n=13"])
 @pytest.mark.usefixtures("refuse_enumeration")
 def test_rotation_order_past_its_size_limit_exits_two(capsys, argv, n):
     code, out, err = run(capsys, *argv)

@@ -434,6 +434,18 @@ def test_bileveled_order_refuses_sizes_past_its_masks():
             build(10)
 
 
+@pytest.mark.parametrize("family, name, limit", [
+    ("S", "weak order", 8), ("Y", "rotation order", 10), ("M", "bi-leveled order", 9)])
+@pytest.mark.usefixtures("refuse_enumeration")
+def test_each_order_refuses_one_past_its_limit(family, name, limit):
+    assert posets.MAX_ORDER_N[family] == limit
+    posets.check_order_size(family, limit)
+    message = rf"^{name} is limited to n <= {limit}, got n = {limit + 1}$"
+    for refuse in (posets.check_order_size, posets.poset_for):
+        with pytest.raises(ValueError, match=message):
+            refuse(family, limit + 1)
+
+
 def test_weak_order_is_lattice():
     for n in (2, 3, 4, 5):
         assert weak_order(n).is_lattice()

@@ -127,6 +127,20 @@ def test_parse_error_messages(bad, message):
     assert str(exc.value) == message
 
 
+def matched_ends(key):
+    """Per index of ``key``, one past a leaf, one past the closer that
+    matches an opener, and 0 at a closer, by a stack of open brackets."""
+    ends, stack = [0] * len(key), []
+    for i, ch in enumerate(key):
+        if ch == ".":
+            ends[i] = i + 1
+        elif ch in "({":
+            stack.append(i)
+        else:
+            ends[stack.pop()] = i + 1
+    return ends
+
+
 @pytest.mark.parametrize("key", [
     "(" * 5000 + "." + ".)" * 5000,  # left comb
     "(." * 5000 + "." + ")" * 5000,  # right comb
@@ -136,6 +150,7 @@ def test_deep_keys_round_trip(key):
     obj = parse_tree(key)
     assert obj.size == 5000
     assert render(obj) == key
+    assert trees._ends(key) == matched_ends(key)
 
 
 DEEP = {
@@ -159,13 +174,16 @@ def test_deep_trees_compare_and_hash_without_recursion(make):
     assert a != LEAF and a != render(a)
 
 
+def subtree_end(key, i):
+    """The index just after the subtree of ``key`` that starts at i, by
+    recursion on the grammar: a subtree is a leaf or an opener, two subtrees
+    and a closer."""
+    return i + 1 if key[i] == "." else subtree_end(key, subtree_end(key, i + 1)) + 1
+
+
 def split_key(key):
-    """The keys of the two subtrees of an internal node's key, by recursion
-    on the grammar: a subtree is a leaf or an opener, two subtrees and a
-    closer."""
-    def end(i):
-        return i + 1 if key[i] == "." else end(end(i + 1)) + 1
-    middle = end(1)
+    """The keys of the two subtrees of an internal node's key."""
+    middle = subtree_end(key, 1)
     return key[1:middle], key[middle:-1]
 
 
@@ -189,6 +207,8 @@ def test_tree_objects_read_their_keys_as_the_recursive_grammar_does(family, n):
         obj = parse_tree(key)
         tree = obj.tree if family == "M" else obj
         nodes, root = read_key(key)
+        assert trees._ends(key) == [0 if ch in ")}" else subtree_end(key, i)
+                                    for i, ch in enumerate(key)]
         assert render(tree) == key.replace("{", "(").replace("}", ")")
         assert obj.size == tree.size == len(nodes) == n
         if n:
@@ -389,6 +409,12 @@ def test_fiber_matches_brute_force():
     for n in range(1, 7):
         for key, t in zip(enumerate_family("Y", n), all_trees(n)):
             assert trees._key_fiber(key) == fiber_of_tree(t) == brute_fiber(t), key
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_fiber_size_counts_the_fiber(n):
+    for key in enumerate_family("Y", n):
+        assert trees._fiber_size(key) == len(trees._key_fiber(key)), key
 
 
 def test_min_max_words():
