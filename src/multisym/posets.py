@@ -10,6 +10,7 @@ theorem), filled one row mu(x, -) at a time on first use; the lattice test
 joins the upper covers of each element only; and an adjunction is
 checked through its unit and counit, on the index tables a map pair builds
 once.  Every report names the first failure in the sorted key order.
+Words can also be compared with no table, by their position inversions.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ from .trees import (
     _check_size,
     _ends,
     _key_word,
+    _perm_of_key,
     _tau_key,
     all_bileveled,  # unused here: bench/test_bench.py calls it through this binding
     beta_fibers,
+    check_enumeration_size,
     enumerate_family,
     fiber_min_word,
     parse_key,
@@ -420,16 +423,94 @@ def poset_for(family: str, n: int) -> FinitePoset:
 
 
 # ---------------------------------------------------------------------------
+# the weak order compared by position inversions, with no table
+#
+# u <= w in the weak order exactly when the position inversions of u, the
+# pairs p < q with u[p] > u[q], lie among those of w (Björner & Brenti,
+# Combinatorics of Coxeter Groups, §3.1): a cover swaps the values k and k+1
+# where k sits left of k+1, which inverts their two places and leaves every
+# other pair of places as it was.  An inversion set is one int, bit p*n + q.
+
+
+def _inversions(word: tuple[int, ...]) -> int:
+    """The mask of the position inversions of ``word``."""
+    n, mask = len(word), 0
+    for p, a in enumerate(word):
+        for q in range(p + 1, n):
+            if a > word[q]:
+                mask |= 1 << p * n + q
+    return mask
+
+
+def weak_interval_ends(n: int, words) -> tuple[str, str] | None:
+    """``weak_order(n).interval_ends(words)`` with no table: ``(least,
+    greatest)`` if the keys ``words`` of S_n are exactly the weak-order
+    interval between them, else None (also when ``words`` is empty).
+
+    Lexicographic order on words extends the weak order, so only the least
+    and the greatest word in it can be the ends.  The upper covers walked
+    from the least word, keeping inside the greatest word's inversions,
+    reach exactly the interval between the two (and miss the greatest word
+    when the two are incomparable); so the words are that interval when the
+    walk reaches only words among them, and as many as there are."""
+    members = {_perm_of_key(w): w for w in words}
+    if not members:
+        return None
+    least, greatest = min(members), max(members)
+    top = _inversions(greatest)
+    reached, todo = {least}, [least]
+    place = [0] * (n + 1)
+    while todo:
+        word = todo.pop()
+        for p, a in enumerate(word):
+            place[a] = p
+        for k in range(1, n):
+            p, q = place[k], place[k + 1]
+            if p < q and top >> p * n + q & 1:
+                up = list(word)
+                up[p], up[q] = k + 1, k
+                up = tuple(up)
+                if up not in reached:
+                    if up not in members:
+                        return None
+                    reached.add(up)
+                    todo.append(up)
+    if len(reached) != len(members):
+        return None
+    return members[least], members[greatest]
+
+
+def weak_upset_masks(words) -> list[int]:
+    """``weak_order(n).upset_masks(words)`` with no table: per position i of
+    the keys ``words``, the mask of the positions j with ``words[i] <=
+    words[j]``, equal words keeping their own bits.  Bit-parallel: one mask
+    per inversion, of the words that have it, and the up-set of a word is
+    the AND of the masks of its own inversions."""
+    inversions = [_inversions(_perm_of_key(w)) for w in words]
+    having: dict[int, int] = {}
+    for j, mask in enumerate(inversions):
+        for b in _bits(mask):
+            having[b] = having.get(b, 0) | 1 << j
+    everyone, out = (1 << len(inversions)) - 1, []
+    for mask in inversions:
+        up = everyone
+        for b in _bits(mask):
+            up &= having[b]
+        out.append(up)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # fibers as intervals
 
 
 def fiber_interval(n: int, b: BiLeveledTree | str) -> tuple[str, str]:
-    """Least and greatest fiber words of ``b``, certified against the poset.
+    """Least and greatest fiber words of ``b``, certified against the weak order.
 
     The fiber must be an interval of the weak order, and its least word must
     match the closed-form minimal word; otherwise ``CertificationError``.
     """
-    check_order_size("S", n)
+    check_enumeration_size("S", n)
     key, obj = (b, parse_key("M", b)) if isinstance(b, str) else (render(b), b)
     return _fiber_interval(n, key, fiber_min_word(obj))
 
@@ -440,7 +521,7 @@ def _fiber_interval(n: int, key: str, least: tuple[int, ...]) -> tuple[str, str]
     fiber = beta_fibers(n).get(key)
     if fiber is None:
         raise ValueError(f"{key!r} is not a bi-leveled key of size {n}")
-    ends = weak_order(n).interval_ends(fiber)
+    ends = weak_interval_ends(n, fiber)
     if ends is None:
         raise CertificationError(f"fiber of {key!r} is not an interval")
     if ends[0] != render_perm(least):

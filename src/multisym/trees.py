@@ -273,9 +273,14 @@ def render_perm(word: tuple[int, ...]) -> str:
     return ",".join(str(a) for a in word)
 
 
+def _perm_of_key(key: str) -> tuple[int, ...]:
+    """The word of a key of S_n, unchecked (``parse_perm`` checks)."""
+    return tuple(map(int, key.split(",") if "," in key else key))
+
+
 def parse_perm(text: str) -> tuple[int, ...]:
     try:
-        word = tuple(map(int, text.split(",") if "," in text else text))
+        word = _perm_of_key(text)
     except ValueError:
         raise ParseError(f"not a permutation string: {text!r}") from None
     if sorted(word) != list(range(1, len(word) + 1)):

@@ -39,7 +39,7 @@ def suite_dimensions(n_max: int = 6) -> SuiteResult:
 def suite_fibers(n_max: int = 6) -> SuiteResult:
     """Fibers of the bi-leveled projection partition the words, each one an
     interval whose section word is its unique pinned-pattern avoider."""
-    posets.check_order_size("S", n_max)
+    trees.check_enumeration_size("S", n_max)
     for n in range(1, n_max + 1):
         fibers = trees.beta_fibers(n)
         keys = trees.enumerate_family("M", n)
@@ -53,8 +53,7 @@ def suite_fibers(n_max: int = 6) -> SuiteResult:
                 return SuiteResult("fibers", n_max, False, key)
             # the one avoider is the section word, which is thus in the fiber
             section = trees.render_perm(trees._key_word(key, True))
-            # below the weak order's size limit every letter is one digit
-            avoiders = [w for w in words if trees.avoids_pinned(tuple(map(int, w)))]
+            avoiders = [w for w in words if trees.avoids_pinned(trees._perm_of_key(w))]
             if avoiders != [section]:
                 return SuiteResult("fibers", n_max, False, key)
     return SuiteResult("fibers", n_max, True)
@@ -62,6 +61,7 @@ def suite_fibers(n_max: int = 6) -> SuiteResult:
 
 def suite_pinned(n_max: int = 6) -> SuiteResult:
     """A word avoids the pinned patterns iff it is the section word of its image."""
+    trees.check_enumeration_size("S", n_max)
     for n in range(1, n_max + 1):
         for word in itertools.permutations(range(1, n + 1)):
             is_section = word == trees._key_word(trees._beta_key(word), True)
@@ -73,9 +73,9 @@ def suite_pinned(n_max: int = 6) -> SuiteResult:
 def suite_tamari_oracle(n_max: int = 5) -> SuiteResult:
     """The rotation order agrees with the order transported through minimal
     words; minimal and maximal words preserve order; tree fibers are intervals."""
-    posets.check_order_size("S", n_max)
+    trees.check_enumeration_size("S", n_max)
     for n in range(1, n_max + 1):
-        tam, weak = posets.tamari(n), posets.weak_order(n)
+        tam = posets.tamari(n)
         keys = tam.elements
         min_of = {k: trees.render_perm(trees._key_word(k)) for k in keys}
         max_of = {k: trees.render_perm(trees._key_word(k, True)) for k in keys}
@@ -83,8 +83,9 @@ def suite_tamari_oracle(n_max: int = 5) -> SuiteResult:
         # their minimal words, between their maximal words; a pair fails when
         # the first two differ or the first holds without the third, and the
         # lowest failing bit of the first failing row is the first failing pair
-        rows = zip(tam.upset_masks(keys), weak.upset_masks([min_of[k] for k in keys]),
-                   weak.upset_masks([max_of[k] for k in keys]))
+        rows = zip(tam.upset_masks(keys),
+                   posets.weak_upset_masks([min_of[k] for k in keys]),
+                   posets.weak_upset_masks([max_of[k] for k in keys]))
         for a, (up, up_min, up_max) in zip(keys, rows):
             bad = (up ^ up_min) | (up & ~up_max)
             if bad:
@@ -92,7 +93,7 @@ def suite_tamari_oracle(n_max: int = 5) -> SuiteResult:
                 return SuiteResult("tamari-oracle", n_max, False, f"{a}<={b}")
         for key in keys:
             fiber = [trees.render_perm(w) for w in trees._key_fiber(key)]
-            if weak.interval_ends(fiber) != (min_of[key], max_of[key]):
+            if posets.weak_interval_ends(n, fiber) != (min_of[key], max_of[key]):
                 return SuiteResult("tamari-oracle", n_max, False, key)
     return SuiteResult("tamari-oracle", n_max, True)
 

@@ -364,18 +364,59 @@ def test_min_and_max_words_of_combs_deeper_than_the_recursion_limit(capsys, op, 
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", suite, "--n-max", "9"]
-    for suite in ("fibers", "tamari-oracle", "galois", "interval-retract", "eq8")
+    ["verify", suite, "--n-max", "9"] for suite in ("galois", "interval-retract", "eq8")
 ] + [
     ["mobius", "--family", "S", "--n", "9", "--x", "123456789", "--y", "987654321"],
     ["hasse", "--family", "S", "--n", "9"],
-    ["fiber", "--map", "beta", "--input", "{" * 9 + "." + ".}" * 9],
 ], ids=" ".join)
 @pytest.mark.usefixtures("refuse_enumeration")
 def test_weak_order_past_its_size_limit_exits_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: weak order is limited to n <= 8, got n = 9\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", suite, "--n-max", "11"] for suite in ("fibers", "tamari-oracle", "pinned")
+] + [
+    ["fiber", "--map", "beta", "--input", "{" * 11 + "." + ".}" * 11],
+], ids=" ".join)
+@pytest.mark.usefixtures("refuse_enumeration")
+def test_words_past_their_enumeration_limit_exit_two(capsys, monkeypatch, argv):
+    # these compare words by their inversions, with no weak-order table, so
+    # only the S_11 enumeration bounds them; pinned walks every word itself
+    def fail(*args):
+        raise AssertionError("walked a word past the size guard")
+    monkeypatch.setattr(trees, "_beta_key", fail)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration of S is limited to n <= 10, got n = 11\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "fibers", "--n-max", "7"],
+    ["verify", "tamari-oracle", "--n-max", "7"],
+], ids=" ".join)
+def test_word_suites_build_no_weak_order(capsys, monkeypatch, argv):
+    def fail(*args):
+        raise AssertionError("built the weak order")
+    monkeypatch.setattr(posets, "weak_order", fail)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, f"suite={argv[1]} n_max=7 status=pass\n", "")
+
+
+def test_beta_fiber_builds_no_weak_order(capsys, monkeypatch):
+    # a fiber of six words in S_7: its least word is the closed form, and
+    # lexicographic order extends the weak order, so its greatest is the last
+    def fail(*args):
+        raise AssertionError("built the weak order")
+    monkeypatch.setattr(posets, "weak_order", fail)
+    key = beta_key("3142765")
+    code, out, err = run(capsys, "fiber", "--map", "beta", "--input", key)
+    words = trees.beta_fibers(7)[key]
+    assert (code, err, len(words)) == (0, "", 6)
+    lo = trees.render_perm(trees._key_word(key))
+    assert out == "".join(w + "\n" for w in words) + f"min={lo} max={words[-1]}\n"
 
 
 CIRCLED_COMB_10 = "{" * 10 + "." + ".}" * 10

@@ -462,6 +462,92 @@ def test_tree_fibers_are_weak_intervals():
     assert weak_order(4).interval("1423", "3412") == ["1423", "2413", "3412"]
 
 
+# --- the weak order by position inversions, against the dense order ----------
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_inversion_masks_compare_as_the_weak_order(n):
+    P = weak_order(n)
+    masks = {w: posets._inversions(parse_perm(w)) for w in P.elements}
+    for w, mask in masks.items():
+        assert mask == sum(1 << p * n + q for p, q in position_inversions(parse_perm(w)))
+    for u, a in masks.items():
+        for w, b in masks.items():
+            assert (a & ~b == 0) == P.leq(u, w)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_weak_upset_masks_match_the_order(n):
+    P = weak_order(n)
+    assert posets.weak_upset_masks(P.elements) == P.upset_masks(P.elements)
+    # repeated words keep their own bits
+    points = random.Random(n).choices(P.elements, k=40)
+    assert posets.weak_upset_masks(points) == P.upset_masks(points)
+
+
+def each_interval(P):
+    for x in P.elements:
+        for y in P.upset(x):
+            yield x, y, P.interval(x, y)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_weak_interval_ends_match_the_order_on_every_interval(n):
+    P = weak_order(n)
+    for x, y, members in each_interval(P):
+        assert posets.weak_interval_ends(n, members) == P.interval_ends(members) == (x, y)
+        # lexicographic order extends the weak order, so the interior is
+        # everything between the first and the last word
+        for dropped in members[1:-1]:
+            rest = [w for w in members if w != dropped]
+            assert posets.weak_interval_ends(n, rest) == P.interval_ends(rest)
+
+
+@st.composite
+def word_sets(draw):
+    # as member_sets, on S_4 and S_5, with some words given twice
+    n = draw(st.sampled_from([4, 5]))
+    P = weak_order(n)
+    elements = st.sampled_from(P.elements)
+    if draw(st.booleans()):
+        words = draw(st.sets(elements))
+    else:
+        x = draw(elements)
+        y = draw(st.sampled_from(P.upset(x)))
+        words = set(P.interval(x, y)) ^ draw(st.sets(elements, max_size=3))
+    return n, sorted(words) + draw(st.lists(elements, max_size=2))
+
+
+@given(word_sets())
+def test_weak_interval_ends_match_the_order_on_drawn_sets(case):
+    n, words = case
+    assert posets.weak_interval_ends(n, words) == weak_order(n).interval_ends(words)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_weak_interval_ends_match_the_order_on_every_fiber(n):
+    P = weak_order(n)
+    fibers = [*trees.beta_fibers(n).values(),
+              *([render_perm(w) for w in trees._key_fiber(key)]
+                for key in enumerate_family("Y", n))]
+    for words in fibers:
+        assert posets.weak_interval_ends(n, words) == P.interval_ends(words)
+
+
+def test_weak_interval_ends_take_ten_letter_words_in_numeric_order():
+    # S_4 on the last four places of S_10, the first six letters fixed: a
+    # copy of its weak order, whose comma-joined keys do not sort by value
+    def lift(word):
+        return render_perm((1, 2, 3, 4, 5, 6) + tuple(a + 6 for a in parse_perm(word)))
+
+    P = weak_order(4)
+    assert lift("4321") < lift("1234")
+    for x, y, members in each_interval(P):
+        words = [lift(w) for w in members]
+        assert posets.weak_interval_ends(10, words) == (lift(x), lift(y))
+        for dropped in words[1:-1]:
+            assert posets.weak_interval_ends(10, [w for w in words if w != dropped]) is None
+
+
 # --- rotation order ---------------------------------------------------------
 
 def test_rotation_cover_on_two_nodes():
