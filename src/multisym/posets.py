@@ -442,9 +442,9 @@ def _inversions(word: tuple[int, ...]) -> int:
     return mask
 
 
-def weak_interval_ends(n: int, words) -> tuple[str, str] | None:
-    """``weak_order(n).interval_ends(words)`` with no table: ``(least,
-    greatest)`` if the keys ``words`` of S_n are exactly the weak-order
+def weak_interval_ends(words) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """``weak_order(n).interval_ends`` with no table, on the words ``words``
+    of S_n: ``(least, greatest)`` if they are exactly the weak-order
     interval between them, else None (also when ``words`` is empty).
 
     Lexicographic order on words extends the weak order, so only the least
@@ -453,11 +453,11 @@ def weak_interval_ends(n: int, words) -> tuple[str, str] | None:
     reach exactly the interval between the two (and miss the greatest word
     when the two are incomparable); so the words are that interval when the
     walk reaches only words among them, and as many as there are."""
-    members = {_perm_of_key(w): w for w in words}
+    members = set(words)
     if not members:
         return None
     least, greatest = min(members), max(members)
-    top = _inversions(greatest)
+    n, top = len(least), _inversions(greatest)
     reached, todo = {least}, [least]
     place = [0] * (n + 1)
     while todo:
@@ -477,16 +477,16 @@ def weak_interval_ends(n: int, words) -> tuple[str, str] | None:
                     todo.append(up)
     if len(reached) != len(members):
         return None
-    return members[least], members[greatest]
+    return least, greatest
 
 
 def weak_upset_masks(words) -> list[int]:
-    """``weak_order(n).upset_masks(words)`` with no table: per position i of
-    the keys ``words``, the mask of the positions j with ``words[i] <=
+    """``weak_order(n).upset_masks`` with no table, on the words ``words``
+    of S_n: per position i, the mask of the positions j with ``words[i] <=
     words[j]``, equal words keeping their own bits.  Bit-parallel: one mask
     per inversion, of the words that have it, and the up-set of a word is
     the AND of the masks of its own inversions."""
-    inversions = [_inversions(_perm_of_key(w)) for w in words]
+    inversions = [_inversions(w) for w in words]
     having: dict[int, int] = {}
     for j, mask in enumerate(inversions):
         for b in _bits(mask):
@@ -512,19 +512,20 @@ def fiber_interval(n: int, b: BiLeveledTree | str) -> tuple[str, str]:
     """
     check_enumeration_size("S", n)
     key, obj = (b, parse_key("M", b)) if isinstance(b, str) else (render(b), b)
-    return _fiber_interval(n, key, fiber_min_word(obj))
-
-
-def _fiber_interval(n: int, key: str, least: tuple[int, ...]) -> tuple[str, str]:
-    """``fiber_interval`` on a size checked already, for the tree of key
-    ``key`` whose closed-form minimal word ``least`` is known."""
     fiber = beta_fibers(n).get(key)
     if fiber is None:
         raise ValueError(f"{key!r} is not a bi-leveled key of size {n}")
-    ends = weak_interval_ends(n, fiber)
+    least, greatest = _fiber_interval(key, fiber_min_word(obj), map(_perm_of_key, fiber))
+    return render_perm(least), render_perm(greatest)
+
+
+def _fiber_interval(key: str, least: tuple[int, ...], words):
+    """The ends of ``words``, the fiber of the tree of key ``key``, certified
+    to be a weak-order interval whose least word is the closed form ``least``."""
+    ends = weak_interval_ends(words)
     if ends is None:
         raise CertificationError(f"fiber of {key!r} is not an interval")
-    if ends[0] != render_perm(least):
+    if ends[0] != least:
         raise CertificationError(f"closed-form minimum disagrees on {key!r}")
     return ends
 

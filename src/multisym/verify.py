@@ -46,15 +46,15 @@ def suite_fibers(n_max: int = 6) -> SuiteResult:
         total = sum(len(words) for words in fibers.values())
         if total != math.factorial(n) or set(fibers) != set(keys):
             return SuiteResult("fibers", n_max, False, f"n={n}")
-        for key, words in fibers.items():
+        for key, fiber in fibers.items():
+            words = [trees._perm_of_key(w) for w in fiber]
             try:
-                posets._fiber_interval(n, key, trees._key_word(key))
+                posets._fiber_interval(key, trees._key_word(key), words)
             except posets.CertificationError:
                 return SuiteResult("fibers", n_max, False, key)
             # the one avoider is the section word, which is thus in the fiber
-            section = trees.render_perm(trees._key_word(key, True))
-            avoiders = [w for w in words if trees.avoids_pinned(trees._perm_of_key(w))]
-            if avoiders != [section]:
+            avoiders = [w for w in words if trees.avoids_pinned(w)]
+            if avoiders != [trees._key_word(key, True)]:
                 return SuiteResult("fibers", n_max, False, key)
     return SuiteResult("fibers", n_max, True)
 
@@ -77,23 +77,21 @@ def suite_tamari_oracle(n_max: int = 5) -> SuiteResult:
     for n in range(1, n_max + 1):
         tam = posets.tamari(n)
         keys = tam.elements
-        min_of = {k: trees.render_perm(trees._key_word(k)) for k in keys}
-        max_of = {k: trees.render_perm(trees._key_word(k, True)) for k in keys}
+        mins = [trees._key_word(k) for k in keys]
+        maxes = [trees._key_word(k, True) for k in keys]
         # bit j of row i: keys[i] <= keys[j] in the rotation order, between
         # their minimal words, between their maximal words; a pair fails when
         # the first two differ or the first holds without the third, and the
         # lowest failing bit of the first failing row is the first failing pair
-        rows = zip(tam.upset_masks(keys),
-                   posets.weak_upset_masks([min_of[k] for k in keys]),
-                   posets.weak_upset_masks([max_of[k] for k in keys]))
+        rows = zip(tam.upset_masks(keys), posets.weak_upset_masks(mins),
+                   posets.weak_upset_masks(maxes))
         for a, (up, up_min, up_max) in zip(keys, rows):
             bad = (up ^ up_min) | (up & ~up_max)
             if bad:
                 b = keys[(bad & -bad).bit_length() - 1]
                 return SuiteResult("tamari-oracle", n_max, False, f"{a}<={b}")
-        for key in keys:
-            fiber = [trees.render_perm(w) for w in trees._key_fiber(key)]
-            if posets.weak_interval_ends(n, fiber) != (min_of[key], max_of[key]):
+        for key, ends in zip(keys, zip(mins, maxes)):
+            if posets.weak_interval_ends(trees._key_fiber(key)) != ends:
                 return SuiteResult("tamari-oracle", n_max, False, key)
     return SuiteResult("tamari-oracle", n_max, True)
 

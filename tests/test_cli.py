@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -403,6 +404,26 @@ def test_word_suites_build_no_weak_order(capsys, monkeypatch, argv):
     monkeypatch.setattr(posets, "weak_order", fail)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (0, f"suite={argv[1]} n_max=7 status=pass\n", "")
+
+
+def test_word_suites_parse_each_word_once_and_render_none(capsys, monkeypatch):
+    # fibers parses each word of its fiber table once; tamari-oracle reads
+    # its words off the keys, so neither renders a word or parses one back
+    for n in range(1, 8):
+        trees.beta_fibers(n)
+
+    def fail(*args):
+        raise AssertionError("rendered or parsed a word")
+    for module, name in ((posets, "_perm_of_key"), (posets, "render_perm"),
+                         (trees, "render_perm")):
+        monkeypatch.setattr(module, name, fail)
+    parsed = []
+    perm_of_key = trees._perm_of_key
+    monkeypatch.setattr(trees, "_perm_of_key", lambda key: parsed.append(key) or perm_of_key(key))
+    for suite in ("fibers", "tamari-oracle"):
+        code, out, err = run(capsys, "verify", suite, "--n-max", "7")
+        assert (code, out, err) == (0, f"suite={suite} n_max=7 status=pass\n", "")
+    assert len(parsed) == 5913 == sum(math.factorial(n) for n in range(1, 8))
 
 
 def test_beta_fiber_builds_no_weak_order(capsys, monkeypatch):

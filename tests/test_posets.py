@@ -475,13 +475,22 @@ def test_inversion_masks_compare_as_the_weak_order(n):
             assert (a & ~b == 0) == P.leq(u, w)
 
 
+def words_of(keys):
+    return [parse_perm(k) for k in keys]
+
+
+def ends_of(ends):
+    """The dense order's ``interval_ends``, parsed to words."""
+    return None if ends is None else tuple(words_of(ends))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_weak_upset_masks_match_the_order(n):
     P = weak_order(n)
-    assert posets.weak_upset_masks(P.elements) == P.upset_masks(P.elements)
+    assert posets.weak_upset_masks(words_of(P.elements)) == P.upset_masks(P.elements)
     # repeated words keep their own bits
     points = random.Random(n).choices(P.elements, k=40)
-    assert posets.weak_upset_masks(points) == P.upset_masks(points)
+    assert posets.weak_upset_masks(words_of(points)) == P.upset_masks(points)
 
 
 def each_interval(P):
@@ -494,12 +503,13 @@ def each_interval(P):
 def test_weak_interval_ends_match_the_order_on_every_interval(n):
     P = weak_order(n)
     for x, y, members in each_interval(P):
-        assert posets.weak_interval_ends(n, members) == P.interval_ends(members) == (x, y)
+        got = posets.weak_interval_ends(words_of(members))
+        assert got == ends_of(P.interval_ends(members)) == (parse_perm(x), parse_perm(y))
         # lexicographic order extends the weak order, so the interior is
         # everything between the first and the last word
         for dropped in members[1:-1]:
             rest = [w for w in members if w != dropped]
-            assert posets.weak_interval_ends(n, rest) == P.interval_ends(rest)
+            assert posets.weak_interval_ends(words_of(rest)) == ends_of(P.interval_ends(rest))
 
 
 @st.composite
@@ -519,33 +529,43 @@ def word_sets(draw):
 
 @given(word_sets())
 def test_weak_interval_ends_match_the_order_on_drawn_sets(case):
-    n, words = case
-    assert posets.weak_interval_ends(n, words) == weak_order(n).interval_ends(words)
+    n, keys = case
+    assert posets.weak_interval_ends(words_of(keys)) == ends_of(
+        weak_order(n).interval_ends(keys))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_weak_interval_ends_match_the_order_on_every_fiber(n):
     P = weak_order(n)
-    fibers = [*trees.beta_fibers(n).values(),
-              *([render_perm(w) for w in trees._key_fiber(key)]
-                for key in enumerate_family("Y", n))]
+    fibers = [*map(words_of, trees.beta_fibers(n).values()),
+              *map(trees._key_fiber, enumerate_family("Y", n))]
     for words in fibers:
-        assert posets.weak_interval_ends(n, words) == P.interval_ends(words)
+        keys = [render_perm(w) for w in words]
+        assert posets.weak_interval_ends(words) == ends_of(P.interval_ends(keys))
+
+
+def lift(key):
+    """A word of S_4 moved onto the last four places of S_10, the first six
+    letters fixed: a copy of the weak order on S_4, whose comma-joined keys
+    do not sort by value, and whose inversions take bits up to 99."""
+    return (1, 2, 3, 4, 5, 6) + tuple(a + 6 for a in parse_perm(key))
 
 
 def test_weak_interval_ends_take_ten_letter_words_in_numeric_order():
-    # S_4 on the last four places of S_10, the first six letters fixed: a
-    # copy of its weak order, whose comma-joined keys do not sort by value
-    def lift(word):
-        return render_perm((1, 2, 3, 4, 5, 6) + tuple(a + 6 for a in parse_perm(word)))
-
     P = weak_order(4)
-    assert lift("4321") < lift("1234")
+    assert render_perm(lift("4321")) < render_perm(lift("1234"))
     for x, y, members in each_interval(P):
         words = [lift(w) for w in members]
-        assert posets.weak_interval_ends(10, words) == (lift(x), lift(y))
+        assert posets.weak_interval_ends(words) == (lift(x), lift(y))
         for dropped in words[1:-1]:
-            assert posets.weak_interval_ends(10, [w for w in words if w != dropped]) is None
+            assert posets.weak_interval_ends([w for w in words if w != dropped]) is None
+
+
+def test_weak_upset_masks_of_ten_letter_words_match_the_order():
+    P = weak_order(4)
+    assert posets.weak_upset_masks([lift(w) for w in P.elements]) == P.upset_masks(P.elements)
+    points = random.Random(10).choices(P.elements, k=40)
+    assert posets.weak_upset_masks([lift(w) for w in points]) == P.upset_masks(points)
 
 
 # --- rotation order ---------------------------------------------------------

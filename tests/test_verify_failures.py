@@ -69,6 +69,18 @@ def test_fibers_reports_a_fiber_without_its_avoider(monkeypatch, capsys):
     assert_fails_with(capsys, ["fibers", "--n-max", "4"], "fibers", 4, key)
 
 
+def test_fibers_certifies_the_table_it_partitions(monkeypatch, capsys):
+    # two non-avoiding words swapped between two fibers of S_5 keep the
+    # partition and each fiber's one avoider, but break both intervals
+    first, second = "{{{{..}.}.}{..}}", "{{{..}.}{{..}.}}"
+    swap = {"12453": "13524", "13524": "12453"}
+    beta_fibers = trees.beta_fibers
+    assert "12453" in beta_fibers(5)[first] and "13524" in beta_fibers(5)[second]
+    monkeypatch.setattr(trees, "beta_fibers", lambda n: {
+        k: tuple(swap.get(w, w) for w in v) for k, v in beta_fibers(n).items()})
+    assert_fails_with(capsys, ["fibers", "--n-max", "5"], "fibers", 5, first)
+
+
 def test_pinned_reports_the_word_it_misjudges(monkeypatch, capsys):
     target = (3, 1, 4, 2)
     avoids_pinned = trees.avoids_pinned
