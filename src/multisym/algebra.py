@@ -468,7 +468,7 @@ def check_fiber_monomial_sum(b: str) -> ComparisonReport:
     n = key_degree("M", b)
     fiber = beta_fibers(n).get(b)
     _require(fiber is not None, f"{b!r} is not a circled key of size {n}")
-    total = LinearCombo("S", "M", {w: 1 for w in fiber})
+    total = LinearCombo("S", "M", {render_perm(w): 1 for w in fiber})
     image = apply_linear_map("beta", from_monomial(total))
     got = to_monomial(image)
     return ComparisonReport(got, LinearCombo("M", "M", {b: 1}))

@@ -62,7 +62,7 @@ def _cmd_fiber(args) -> int:
     else:
         b = trees.parse_key("M", args.input)
         lo, hi = posets.fiber_interval(b.size, b)
-        words = list(trees.beta_fibers(b.size)[args.input])
+        words = [trees.render_perm(w) for w in trees.beta_fibers(b.size)[args.input]]
     if args.json:
         print(json.dumps({"fiber": words, "min": lo, "max": hi}, sort_keys=True))
     else:

@@ -22,12 +22,10 @@ from heapq import heappop, heappush
 
 from .trees import (
     BiLeveledTree,
-    _beta_key,
     _check_size,
     _ends,
     _key_word,
-    _perm_of_key,
-    _tau_key,
+    _projected,
     all_bileveled,  # unused here: bench/test_bench.py calls it through this binding
     beta_fibers,
     check_enumeration_size,
@@ -515,7 +513,7 @@ def fiber_interval(n: int, b: BiLeveledTree | str) -> tuple[str, str]:
     fiber = beta_fibers(n).get(key)
     if fiber is None:
         raise ValueError(f"{key!r} is not a bi-leveled key of size {n}")
-    least, greatest = _fiber_interval(key, fiber_min_word(obj), map(_perm_of_key, fiber))
+    least, greatest = _fiber_interval(key, fiber_min_word(obj), fiber)
     return render_perm(least), render_perm(greatest)
 
 
@@ -716,21 +714,22 @@ def check_interval_retract(pair: PosetMapPair) -> RetractReport:
 # ready-made pairs
 
 
-def _section_pair(n: int, order, project) -> PosetMapPair:
-    """The weak order on S_n onto ``order(n)``: each word forward to the key
-    ``project(word)``, and each key of the target back to the section word
-    read off it (a tree's maximal word)."""
-    P, Q = weak_order(n), order(n)
-    forward = {render_perm(w): project(w) for w in itertools.permutations(range(1, n + 1))}
+def _section_pair(n: int, family: str) -> PosetMapPair:
+    """The weak order on S_n onto the order of ``family`` (``Y`` or ``M``):
+    each word forward to the key of its tree (circled for ``M``), and each
+    key of the target back to the section word read off it (a tree's
+    maximal word)."""
+    P, Q = weak_order(n), poset_for(family, n)
+    forward = {render_perm(w): key for w, key in _projected(n, family == "M")}
     backward = {t: render_perm(_key_word(t, True)) for t in Q.elements}
     return PosetMapPair(P, Q, forward, backward)
 
 
 def tree_section_pair(n: int) -> PosetMapPair:
     """Weak order onto the rotation order via the tree map, back via maximal words."""
-    return _section_pair(n, tamari, _tau_key)
+    return _section_pair(n, "Y")
 
 
 def bileveled_section_pair(n: int) -> PosetMapPair:
     """Weak order onto the bi-leveled order, back via the section word."""
-    return _section_pair(n, bileveled_order, _beta_key)
+    return _section_pair(n, "M")

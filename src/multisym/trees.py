@@ -478,7 +478,7 @@ def tree_of_perm(word: tuple[int, ...]) -> PlanarTree:
 # of that word gives the key back, circled from its first letter if circled.
 
 _PLAIN = sys.maxsize  # a threshold above every letter: nothing circled
-_MIRROR = str.maketrans("()", ")(")
+_MIRROR = str.maketrans("(){}", ")(}{")
 _UNCIRCLE = str.maketrans("{}", "()")  # a circled key to its shape's key
 _CIRCLE = str.maketrans("()", "{}")
 
@@ -517,11 +517,12 @@ def _prefix_keys(word: tuple[int, ...], circle_from: int = _PLAIN,
     return keys if every else ["".join(heads) + "." + closes]
 
 
-def _suffix_keys(word: tuple[int, ...]) -> list[str]:
-    """The plain key of the decreasing tree of each suffix of ``word``,
-    longest first: the prefix keys of the reversed word, each mirrored (read
-    backwards with its brackets swapped)."""
-    return [key[::-1].translate(_MIRROR) for key in reversed(_prefix_keys(word[::-1]))]
+def _suffix_keys(word: tuple[int, ...], circle_from: int = _PLAIN) -> list[str]:
+    """The key of the decreasing tree of each suffix of ``word``, longest
+    first, circled as in ``_prefix_keys``: the prefix keys of the reversed
+    word, each mirrored (read backwards with its brackets swapped)."""
+    return [key[::-1].translate(_MIRROR)
+            for key in reversed(_prefix_keys(word[::-1], circle_from))]
 
 
 def _tau_key(word: tuple[int, ...]) -> str:
@@ -535,6 +536,28 @@ def _beta_key(word: tuple[int, ...]) -> str:
     children are smaller, and a circled node's parent, a larger letter, is
     circled too."""
     return _prefix_keys(word, word[0], False)[0]
+
+
+def _projected(n: int, circled: bool):
+    """Every word of S_n with the key of its tree, plain, or with ``circled``
+    circled from its first letter (the keys of ``_tau_key`` and ``_beta_key``).
+
+    The largest letter is the root of the decreasing tree, over the trees of
+    the letters on its left and on its right, so for each word w of S_{n-1}
+    one prefix walk and one suffix walk give the keys of all n words
+    w[:i] + (n,) + w[i:].  Circled, the first letter is w[0] for i > 0; at
+    i = 0 it is n itself, so only the root is circled, over the plain tree
+    of w.
+    """
+    opener, closer = "{}" if circled else "()"
+    top = (n,)
+    for w in itertools.permutations(range(1, n)):
+        circle_from = w[0] if circled and w else _PLAIN
+        prefixes, suffixes = _prefix_keys(w, circle_from), _suffix_keys(w, circle_from)
+        if circled:
+            suffixes[0] = suffixes[0].translate(_UNCIRCLE)
+        for i in range(n):
+            yield w[:i] + top + w[i:], opener + prefixes[i] + suffixes[i] + closer
 
 
 def _key_word(key: str, section: bool = False) -> tuple[int, ...]:
@@ -633,14 +656,19 @@ def strip_circles(b: BiLeveledTree) -> PlanarTree:
 
 @lru_cache(maxsize=None)
 def beta_fibers(n: int) -> MappingProxyType:
-    """Group the words of S_n by their bi-leveled image, keys and words
-    canonical; the mapping is shared between callers, so it is read-only."""
+    """Group the words of S_n by the keys of their bi-leveled images, each
+    fiber's words sorted and the fibers in the order of their least words;
+    the mapping is shared between callers, so it is read-only.
+
+    ``_projected`` makes the words of a fiber in order: it takes the words of
+    S_{n-1} in order, and a fiber's words all put n in one place, the root's."""
     if n < 1:
         raise ValidityError("the empty word has no bi-leveled image")
-    fibers: dict[str, list[str]] = {}
-    for word in itertools.permutations(range(1, n + 1)):
-        fibers.setdefault(_beta_key(word), []).append(render_perm(word))
-    return MappingProxyType({key: tuple(sorted(words)) for key, words in fibers.items()})
+    fibers: dict[str, list[tuple[int, ...]]] = {}
+    for word, key in _projected(n, True):
+        fibers.setdefault(key, []).append(word)
+    return MappingProxyType({key: tuple(words) for key, words in sorted(
+        fibers.items(), key=lambda item: item[1][0])})
 
 
 # ---------------------------------------------------------------------------
@@ -820,18 +848,32 @@ def avoids_pinned(word: tuple[int, ...]) -> bool:
     With f the first letter and a, b, c later letters in that order, the
     patterns are f < c < a < b (0231), a < c < b < f (3021) and
     a < c < f < b (2031).  So for each b it suffices to know the least a
-    before it and the largest a below b before it.
+    before it and the largest a below b before it: no letter after b may lie
+    strictly between f and that largest a, or between that least a and
+    min(b, f).  Both ranges form one mask of values, tested against the mask
+    of the letters after b.
     """
     if len(word) < 4:
         return True
-    first, rest = word[0], word[1:]
-    for j in range(1, len(rest) - 1):
-        b, before = rest[j], rest[:j]
-        least = min(before)
-        below_b = max((a for a in before if a < b), default=first)
-        for c in rest[j + 1:]:
-            if first < c < below_b or least < c < min(b, first):
-                return False
+    # value masks: seen holds the letters between the first one and b, after
+    # those past b
+    first, seen, least, after = word[0], 0, word[1], 0
+    for a in word[2:]:
+        after |= 1 << a
+    for k in range(2, len(word) - 1):
+        a, b = word[k - 1], word[k]
+        seen |= 1 << a
+        after ^= 1 << b
+        if a < least:
+            least = a
+        below_b = (seen & (1 << b) - 1).bit_length() - 1  # -1 if there is none
+        low = b if b < first else first
+        # the values strictly between lo and hi are the bits (1 << hi) - (2 << lo)
+        forbidden = (1 << below_b) - (2 << first) if below_b > first else 0
+        if low > least:
+            forbidden |= (1 << low) - (2 << least)
+        if forbidden & after:
+            return False
     return True
 
 

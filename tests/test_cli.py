@@ -1,6 +1,6 @@
 import inspect
+import itertools
 import json
-import math
 import os
 import subprocess
 import sys
@@ -385,10 +385,11 @@ def test_weak_order_past_its_size_limit_exits_two(capsys, argv):
 @pytest.mark.usefixtures("refuse_enumeration")
 def test_words_past_their_enumeration_limit_exit_two(capsys, monkeypatch, argv):
     # these compare words by their inversions, with no weak-order table, so
-    # only the S_11 enumeration bounds them; pinned walks every word itself
+    # only the S_11 enumeration bounds them; pinned walks every word itself,
+    # and every key of a word comes from the prefix walk
     def fail(*args):
         raise AssertionError("walked a word past the size guard")
-    monkeypatch.setattr(trees, "_beta_key", fail)
+    monkeypatch.setattr(trees, "_prefix_keys", fail)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: enumeration of S is limited to n <= 10, got n = 11\n"
@@ -406,24 +407,18 @@ def test_word_suites_build_no_weak_order(capsys, monkeypatch, argv):
     assert (code, out, err) == (0, f"suite={argv[1]} n_max=7 status=pass\n", "")
 
 
-def test_word_suites_parse_each_word_once_and_render_none(capsys, monkeypatch):
-    # fibers parses each word of its fiber table once; tamari-oracle reads
-    # its words off the keys, so neither renders a word or parses one back
-    for n in range(1, 8):
-        trees.beta_fibers(n)
-
+def test_word_suites_parse_and_render_no_word(capsys, monkeypatch):
+    # fibers reads its words off the fiber table, which holds them as words,
+    # and tamari-oracle reads its words off the keys
     def fail(*args):
         raise AssertionError("rendered or parsed a word")
-    for module, name in ((posets, "_perm_of_key"), (posets, "render_perm"),
-                         (trees, "render_perm")):
+    for module, name in ((posets, "render_perm"), (trees, "render_perm"),
+                         (trees, "_perm_of_key")):
         monkeypatch.setattr(module, name, fail)
-    parsed = []
-    perm_of_key = trees._perm_of_key
-    monkeypatch.setattr(trees, "_perm_of_key", lambda key: parsed.append(key) or perm_of_key(key))
+    trees.beta_fibers.cache_clear()  # so the table is built under the patch too
     for suite in ("fibers", "tamari-oracle"):
         code, out, err = run(capsys, "verify", suite, "--n-max", "7")
         assert (code, out, err) == (0, f"suite={suite} n_max=7 status=pass\n", "")
-    assert len(parsed) == 5913 == sum(math.factorial(n) for n in range(1, 8))
 
 
 def test_beta_fiber_builds_no_weak_order(capsys, monkeypatch):
@@ -434,10 +429,30 @@ def test_beta_fiber_builds_no_weak_order(capsys, monkeypatch):
     monkeypatch.setattr(posets, "weak_order", fail)
     key = beta_key("3142765")
     code, out, err = run(capsys, "fiber", "--map", "beta", "--input", key)
-    words = trees.beta_fibers(7)[key]
+    words = [trees.render_perm(w) for w in trees.beta_fibers(7)[key]]
     assert (code, err, len(words)) == (0, "", 6)
     lo = trees.render_perm(trees._key_word(key))
     assert out == "".join(w + "\n" for w in words) + f"min={lo} max={words[-1]}\n"
+
+
+def test_beta_fiber_of_ten_letters_keeps_its_bytes(capsys, monkeypatch):
+    # golden/fiber_beta_10.txt was captured while the fiber table held each
+    # word as its comma-joined string; a fiber sorted as words keeps that
+    # order, since all its words put 10 in one place.  They all start with 5,
+    # the least circled letter, so only the words of S_9 that start with 5
+    # are walked: the part of the S_10 table they build holds the fiber whole
+    key = "{{{{..}.}.}{{((..).)(.(..))}.}}"
+    with open(os.path.join(os.path.dirname(__file__), "golden", "fiber_beta_10.txt")) as f:
+        expected = f.read()
+    permutations = itertools.permutations
+    monkeypatch.setattr(itertools, "permutations", lambda letters: (
+        w for w in permutations(letters) if w[:1] == (5,)))
+    trees.beta_fibers.cache_clear()
+    try:
+        code, out, err = run(capsys, "fiber", "--map", "beta", "--input", key)
+    finally:
+        trees.beta_fibers.cache_clear()  # the part of S_10's table built here
+    assert (code, out, err) == (0, expected, "")
 
 
 CIRCLED_COMB_10 = "{" * 10 + "." + ".}" * 10

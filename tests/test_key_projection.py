@@ -96,13 +96,15 @@ def test_bileveled_of_perm_builds_the_tree_the_parser_validates():
 
 def check_slices(word, circle_from=None):
     """The prefix walk against the oracle on every prefix, and the suffix
-    walk, which circles nothing, on every suffix."""
+    walk on every suffix, plain and circled from the same threshold."""
     threshold = _PLAIN if circle_from is None else circle_from
     n = len(word)
     assert _prefix_keys(word, threshold) == [oracle_key(word[:k], circle_from)
                                              for k in range(n + 1)]
     assert _prefix_keys(word, threshold, False) == [oracle_key(word, circle_from)]
     assert _suffix_keys(word) == [oracle_key(word[k:]) for k in range(n + 1)]
+    assert _suffix_keys(word, threshold) == [oracle_key(word[k:], circle_from)
+                                             for k in range(n + 1)]
 
 
 def test_prefix_and_suffix_keys_of_every_word_up_to_seven_letters():
@@ -121,6 +123,17 @@ def test_prefix_and_suffix_keys_of_random_words_of_eight_to_twenty_letters():
         check_slices(tuple(word))
         check_slices(tuple(word), word[0])
         check_slices(tuple(word), rng.randint(1, len(word)))
+
+
+@pytest.mark.parametrize("circled", [False, True])
+def test_projected_yields_every_word_of_up_to_eight_letters_once_with_its_key(circled):
+    key_of = _beta_key if circled else _tau_key
+    for n in range(1, 9):
+        pairs = list(trees._projected(n, circled))
+        words = {word for word, _ in pairs}
+        assert len(pairs) == len(words) == math.factorial(n)
+        assert words == set(itertools.permutations(range(1, n + 1)))
+        assert all(key == key_of(word) for word, key in pairs)
 
 
 def test_prefix_and_suffix_walks_on_monotone_words():

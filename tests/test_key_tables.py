@@ -189,7 +189,7 @@ def avoids_pinned_oracle(word):
 
 
 def test_avoids_pinned_matches_standardization_on_every_short_word():
-    for n in range(8):
+    for n in range(N_MAX + 1):
         for word in itertools.permutations(range(1, n + 1)):
             assert avoids_pinned(word) == avoids_pinned_oracle(word), word
 
@@ -201,9 +201,10 @@ def test_avoids_pinned_and_standardize_on_random_long_words():
         rng.shuffle(word)
         word = tuple(word)
         assert avoids_pinned(word) == avoids_pinned_oracle(word), word
-        # standardizing forgets gaps between letters
+        # standardizing forgets gaps between letters, and so do the patterns
         spread = tuple(3 * a + 7 for a in word)
         assert _standardize(spread) == standardized(spread) == word
+        assert avoids_pinned(spread) == avoids_pinned_oracle(spread), spread
 
 
 # ---------------------------------------------------------------------------

@@ -537,7 +537,7 @@ def test_weak_interval_ends_match_the_order_on_drawn_sets(case):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_weak_interval_ends_match_the_order_on_every_fiber(n):
     P = weak_order(n)
-    fibers = [*map(words_of, trees.beta_fibers(n).values()),
+    fibers = [*trees.beta_fibers(n).values(),
               *map(trees._key_fiber, enumerate_family("Y", n))]
     for words in fibers:
         keys = [render_perm(w) for w in words]

@@ -454,12 +454,23 @@ def test_forgetting_circles_factors_the_tree_map():
 def test_beta_fibers_partition():
     for n in range(1, 6):
         fibers = beta_fibers(n)
-        words = [w for fiber in fibers.values() for w in fiber]
+        words = [render_perm(w) for fiber in fibers.values() for w in fiber]
         assert sorted(words) == enumerate_family("S", n)
         assert sorted(fibers) == enumerate_family("M", n)
     # the empty word has no circled image, as in bileveled_of_perm
     with pytest.raises(ValidityError, match="the empty word has no bi-leveled image"):
         beta_fibers(0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_beta_fibers_match_a_grouping_of_the_permutations(n):
+    # each word rendered and grouped in the order the permutations come in:
+    # the fibers in the order of their least words, each one sorted
+    expected = {}
+    for word in itertools.permutations(range(1, n + 1)):
+        expected.setdefault(render(bileveled_of_perm(word)), []).append(render_perm(word))
+    got = {key: [render_perm(w) for w in words] for key, words in beta_fibers(n).items()}
+    assert list(got.items()) == list(expected.items())
 
 
 def test_beta_fibers_cannot_be_mutated_by_a_caller():
@@ -655,15 +666,15 @@ def test_section_words_small_case():
     b = parse_tree("{{.(..)}(..)}")
     assert render_perm(fiber_min_word(b)) == "3142"
     assert render_perm(section_word(b)) == "3241"
-    assert sorted(beta_fibers(4)[render(b)]) == ["3142", "3241"]
+    assert sorted(beta_fibers(4)[render(b)]) == [parse_perm("3142"), parse_perm("3241")]
 
 
 def test_sections_land_in_their_fiber():
     for n in range(1, 6):
         for key, fiber in beta_fibers(n).items():
             b = parse_tree(key)
-            assert render_perm(fiber_min_word(b)) in fiber
-            assert render_perm(section_word(b)) in fiber
+            assert fiber_min_word(b) in fiber
+            assert section_word(b) in fiber
 
 
 def test_pinned_patterns():
@@ -675,8 +686,8 @@ def test_pinned_patterns():
 def test_section_is_the_unique_pinned_avoider():
     for n in range(1, 6):
         for key, fiber in beta_fibers(n).items():
-            section = render_perm(section_word(parse_tree(key)))
-            assert [w for w in fiber if avoids_pinned(parse_perm(w))] == [section]
+            section = section_word(parse_tree(key))
+            assert [w for w in fiber if avoids_pinned(w)] == [section]
 
 
 # --- combs and compositions -------------------------------------------------

@@ -73,9 +73,10 @@ def test_fibers_certifies_the_table_it_partitions(monkeypatch, capsys):
     # two non-avoiding words swapped between two fibers of S_5 keep the
     # partition and each fiber's one avoider, but break both intervals
     first, second = "{{{{..}.}.}{..}}", "{{{..}.}{{..}.}}"
-    swap = {"12453": "13524", "13524": "12453"}
+    low, high = trees.parse_perm("12453"), trees.parse_perm("13524")
+    swap = {low: high, high: low}
     beta_fibers = trees.beta_fibers
-    assert "12453" in beta_fibers(5)[first] and "13524" in beta_fibers(5)[second]
+    assert low in beta_fibers(5)[first] and high in beta_fibers(5)[second]
     monkeypatch.setattr(trees, "beta_fibers", lambda n: {
         k: tuple(swap.get(w, w) for w in v) for k, v in beta_fibers(n).items()})
     assert_fails_with(capsys, ["fibers", "--n-max", "5"], "fibers", 5, first)
@@ -87,6 +88,15 @@ def test_pinned_reports_the_word_it_misjudges(monkeypatch, capsys):
     monkeypatch.setattr(trees, "avoids_pinned", lambda w: (
         not avoids_pinned(w) if w == target else avoids_pinned(w)))
     assert_fails_with(capsys, ["pinned", "--n-max", "5"], "pinned", 5, "3142")
+
+
+def test_pinned_reports_the_least_word_it_misjudges(monkeypatch, capsys):
+    # 4123 is walked first, as 4 put before 123, but 1423 is the least
+    targets = {(4, 1, 2, 3), (1, 4, 2, 3)}
+    avoids_pinned = trees.avoids_pinned
+    monkeypatch.setattr(trees, "avoids_pinned", lambda w: (
+        not avoids_pinned(w) if w in targets else avoids_pinned(w)))
+    assert_fails_with(capsys, ["pinned", "--n-max", "5"], "pinned", 5, "1423")
 
 
 def test_galois_reports_a_tree_pair_that_is_not_adjoint(monkeypatch, capsys):
