@@ -27,12 +27,12 @@ from .trees import (
     _check_count,
     _coinvariant_key,
     _interleave,
+    _key_fiber,
     _key_word,
     _prefix_keys,
     _standardize,
     _suffix_keys,
     _tau_key,
-    beta_fibers,
     enumerate_family,
     parse_key,
     render_perm,
@@ -466,9 +466,9 @@ def check_fiber_monomial_sum(b: str) -> ComparisonReport:
     """Push the sum of monomial words over a fiber through the projection;
     the result must be the single monomial element of the fiber's key."""
     n = key_degree("M", b)
-    fiber = beta_fibers(n).get(b)
-    _require(fiber is not None, f"{b!r} is not a circled key of size {n}")
-    total = LinearCombo("S", "M", {render_perm(w): 1 for w in fiber})
+    posets.check_order_size("S", n)  # before any fiber word is built
+    _require(n > 0, "the empty word has no bi-leveled image")
+    total = LinearCombo("S", "M", {render_perm(w): 1 for w in _key_fiber(b)})
     image = apply_linear_map("beta", from_monomial(total))
     got = to_monomial(image)
     return ComparisonReport(got, LinearCombo("M", "M", {b: 1}))

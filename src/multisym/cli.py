@@ -62,7 +62,7 @@ def _cmd_fiber(args) -> int:
     else:
         b = trees.parse_key("M", args.input)
         lo, hi = posets.fiber_interval(b.size, b)
-        words = [trees.render_perm(w) for w in trees.beta_fibers(b.size)[args.input]]
+        words = [trees.render_perm(w) for w in trees._key_fiber(args.input)]
     if args.json:
         print(json.dumps({"fiber": words, "min": lo, "max": hi}, sort_keys=True))
     else:
@@ -143,17 +143,25 @@ def _cmd_coinvariants(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
+    if not args.quotient and args.family is None:
+        raise ValueError("hilbert needs --family or --quotient")
+    series.check_series_order(args.order)
     if args.quotient:
         result = series.series_quotient(series.counts("M", args.order),
                                         series.counts("Y", args.order))
     else:
-        if args.family is None:
-            raise ValueError("hilbert needs --family or --quotient")
         result = series.counts(args.family, args.order)
-    if args.json:
-        print(json.dumps(list(result.coeffs)))
-    else:
-        print(result.pretty())
+    # the coefficients are exact: lift the interpreter's limit on the digits
+    # of an int turned into text (CPython 3.11, and 3.10.7 on), then restore it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(list(result.coeffs)) if args.json else result.pretty()
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    print(text)
     return 0
 
 

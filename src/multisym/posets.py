@@ -24,10 +24,10 @@ from .trees import (
     BiLeveledTree,
     _check_size,
     _ends,
+    _key_fiber,
     _key_word,
     _projected,
     all_bileveled,  # unused here: bench/test_bench.py calls it through this binding
-    beta_fibers,
     check_enumeration_size,
     enumerate_family,
     fiber_min_word,
@@ -510,10 +510,9 @@ def fiber_interval(n: int, b: BiLeveledTree | str) -> tuple[str, str]:
     """
     check_enumeration_size("S", n)
     key, obj = (b, parse_key("M", b)) if isinstance(b, str) else (render(b), b)
-    fiber = beta_fibers(n).get(key)
-    if fiber is None:
+    if not isinstance(obj, BiLeveledTree) or obj.size != n:
         raise ValueError(f"{key!r} is not a bi-leveled key of size {n}")
-    least, greatest = _fiber_interval(key, fiber_min_word(obj), fiber)
+    least, greatest = _fiber_interval(key, fiber_min_word(obj), _key_fiber(key))
     return render_perm(least), render_perm(greatest)
 
 

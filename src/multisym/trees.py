@@ -15,7 +15,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 
 
 class ParseError(ValueError):
@@ -595,24 +594,29 @@ def _key_word(key: str, section: bool = False) -> tuple[int, ...]:
 
 
 def _key_fiber(key: str) -> list[tuple[int, ...]]:
-    """``fiber_of_tree`` read off ``key`` bottom up: a node's words put its largest
-    letter between a word of each subtree, relabelled by every split of the rest."""
-    done: list[list[tuple[int, ...]]] = []  # fibers of finished subtrees, left first
+    """The sorted fiber of a plain key under tau, or of a circled key under beta,
+    read off its brackets bottom up: a node's words put its largest letter between
+    a word of each subtree, relabelled by every split of the rest that keeps circled
+    letters on top; beta keeps the words that start with the least circled letter."""
+    done = []  # (fiber, number of circled nodes) of finished subtrees, left first
     for ch in key:
         if ch == ".":
-            done.append([()])
+            done.append(([()], 0))
         elif ch in ")}":
-            rights, lefts = done.pop(), done.pop()
-            size = len(lefts[0]) + len(rights[0]) + 1
+            (rights, right_up), (lefts, left_up) = done.pop(), done.pop()
+            size, up = len(lefts[0]) + len(rights[0]) + 1, left_up + right_up
             letters, out = range(1, size), []
             for left_labels in itertools.combinations(letters, len(lefts[0])):
+                if up and sum(a >= size - up for a in left_labels) != left_up:
+                    continue
                 taken = set(left_labels)
                 right_labels = [a for a in letters if a not in taken]
                 ls = [tuple(left_labels[a - 1] for a in w) for w in lefts]
                 rs = [tuple(right_labels[a - 1] for a in w) for w in rights]
                 out += [lw + (size,) + rw for lw in ls for rw in rs]
-            done.append(out)
-    return sorted(done[0])
+            done.append((out, up + (ch == "}")))
+    fiber, up = done[0]
+    return sorted(w for w in fiber if not up or w[0] == len(key) // 3 - up + 1)
 
 
 def _fiber_size(key: str) -> int:
@@ -628,7 +632,7 @@ def fiber_of_tree(t: PlanarTree) -> list[tuple[int, ...]]:
     refused, before any is built, past the 10! words of the S_10 table."""
     if t.size == 0:
         raise ValueError("fibers are defined for trees with at least one node")
-    key = render(t)
+    key = render(t).translate(_UNCIRCLE)  # circles do not change the node order
     _check_count("a tree fiber", "words", _fiber_size(key))
     return _key_fiber(key)
 
@@ -654,21 +658,18 @@ def strip_circles(b: BiLeveledTree) -> PlanarTree:
     return b.tree
 
 
-@lru_cache(maxsize=None)
-def beta_fibers(n: int) -> MappingProxyType:
+def beta_fibers(n: int) -> dict[str, tuple[tuple[int, ...], ...]]:
     """Group the words of S_n by the keys of their bi-leveled images, each
-    fiber's words sorted and the fibers in the order of their least words;
-    the mapping is shared between callers, so it is read-only.
-
-    ``_projected`` makes the words of a fiber in order: it takes the words of
-    S_{n-1} in order, and a fiber's words all put n in one place, the root's."""
+    fiber's words sorted and the fibers in the order of their least words: the
+    words of S_{n-1} come in order, and a fiber's words all put n in one place,
+    the root's, so ``_projected`` makes the words of each fiber in order."""
     if n < 1:
         raise ValidityError("the empty word has no bi-leveled image")
     fibers: dict[str, list[tuple[int, ...]]] = {}
     for word, key in _projected(n, True):
         fibers.setdefault(key, []).append(word)
-    return MappingProxyType({key: tuple(words) for key, words in sorted(
-        fibers.items(), key=lambda item: item[1][0])})
+    return {key: tuple(words) for key, words in sorted(
+        fibers.items(), key=lambda item: item[1][0])}
 
 
 # ---------------------------------------------------------------------------

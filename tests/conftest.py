@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from multisym import posets, trees
+from multisym import algebra, posets, trees
 
 
 @pytest.fixture
@@ -13,7 +13,8 @@ def refuse_enumeration(monkeypatch):
     def fail(*args):
         raise AssertionError("enumerated past the size guard")
     for module, name in ((posets, "enumerate_family"), (trees, "enumerate_family"),
-                         (trees, "beta_fibers"), (posets, "beta_fibers"),
+                         (trees, "beta_fibers"), (trees, "_key_fiber"),
+                         (posets, "_key_fiber"), (algebra, "_key_fiber"),
                          (posets, "all_bileveled")):
         monkeypatch.setattr(module, name, fail)
 

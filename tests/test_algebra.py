@@ -399,6 +399,14 @@ def test_fiber_monomial_sum():
         assert check_fiber_monomial_sum(key).passed
 
 
+def test_fiber_monomial_sum_refuses_past_the_weak_order_before_reading_a_fiber(rebind):
+    def fail(*args):
+        raise AssertionError("read a fiber past the weak order's limit")
+    rebind({"_key_fiber": fail, "_projected": fail})
+    with pytest.raises(ValueError, match=r"^weak order is limited to n <= 8, got n = 9$"):
+        check_fiber_monomial_sum("{" * 9 + "." + ".}" * 9)
+
+
 # --- serialization ---------------------------------------------------------------
 
 def test_combo_json_shape():
@@ -559,7 +567,7 @@ OBJECT_PATH = ("render", "render_key", "parse_tree", "tree_of_perm", "bileveled_
                "strip_circles", "forest_decomposition")
 CACHED = (algebra.key_degree, algebra._shuffle, algebra._deconcatenate, posets.weak_order,
           posets.tamari, posets.bileveled_order, trees._trees, trees._upsets, trees._bileveled,
-          trees._parsed, trees.beta_fibers)
+          trees._parsed)
 
 
 @pytest.fixture

@@ -1,13 +1,13 @@
 import inspect
-import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from multisym import algebra, cli, posets, trees, verify
+from multisym import algebra, cli, posets, series, trees, verify
 from multisym.trees import bileveled_of_perm, parse_perm, render
 
 
@@ -155,6 +155,55 @@ def test_hilbert(capsys):
     assert json.loads(out) == [0, 1, 1, 3, 11, 44]
     code, _, err = run(capsys, "hilbert", "--order", "3")
     assert code == 2
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default limit of 4,300 digits for an int turned into text,
+    set for the test and then put back as it was; None where there is none."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield None
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_hilbert_prints_exact_coefficients_of_any_length(capsys, default_digit_limit, as_json):
+    # 1700! has 4,755 digits; the limit is lifted only while hilbert writes
+    code, out, err = run(capsys, "hilbert", "--family", "S", "--order", "1700",
+                         *["--json"] * as_json)
+    assert (code, err) == (0, "")
+    if default_digit_limit is not None:
+        assert sys.get_int_max_str_digits() == default_digit_limit
+        sys.set_int_max_str_digits(0)  # to read the printed coefficients back
+    printed = (json.loads(out) if as_json else
+               [int(term.split()[0]) for term in out.strip().split(" + ")])
+    assert printed == [math.factorial(k) for k in range(1701)]
+
+
+def test_hilbert_runs_without_an_int_digit_limit(capsys, monkeypatch):
+    # interpreters before CPython 3.10.7 have no limit to lift
+    for name in ("get_int_max_str_digits", "set_int_max_str_digits"):
+        monkeypatch.delattr(sys, name, raising=False)
+    code, out, err = run(capsys, "hilbert", "--family", "S", "--order", "4", "--json")
+    assert (code, out, err) == (0, "[1, 1, 2, 6, 24]\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "S", "--order", "100000"],
+    ["--family", "M", "--order", "2001"],
+    ["--quotient", "--order", "3000"],
+], ids=" ".join)
+def test_hilbert_past_its_order_limit_exits_two(capsys, monkeypatch, argv):
+    def fail(*args):
+        raise AssertionError("made a series past the order limit")
+    monkeypatch.setattr(series, "counts", fail)
+    code, out, err = run(capsys, "hilbert", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: a series is limited to order 2000, got {argv[-1]}\n"
 
 
 def test_verify_suites_exit_zero(capsys):
@@ -415,7 +464,6 @@ def test_word_suites_parse_and_render_no_word(capsys, monkeypatch):
     for module, name in ((posets, "render_perm"), (trees, "render_perm"),
                          (trees, "_perm_of_key")):
         monkeypatch.setattr(module, name, fail)
-    trees.beta_fibers.cache_clear()  # so the table is built under the patch too
     for suite in ("fibers", "tamari-oracle"):
         code, out, err = run(capsys, "verify", suite, "--n-max", "7")
         assert (code, out, err) == (0, f"suite={suite} n_max=7 status=pass\n", "")
@@ -438,20 +486,16 @@ def test_beta_fiber_builds_no_weak_order(capsys, monkeypatch):
 def test_beta_fiber_of_ten_letters_keeps_its_bytes(capsys, monkeypatch):
     # golden/fiber_beta_10.txt was captured while the fiber table held each
     # word as its comma-joined string; a fiber sorted as words keeps that
-    # order, since all its words put 10 in one place.  They all start with 5,
-    # the least circled letter, so only the words of S_9 that start with 5
-    # are walked: the part of the S_10 table they build holds the fiber whole
+    # order, since all its words put 10 in one place.  The fiber is read off
+    # the key's brackets, so no word of S_10 is projected
     key = "{{{{..}.}.}{{((..).)(.(..))}.}}"
     with open(os.path.join(os.path.dirname(__file__), "golden", "fiber_beta_10.txt")) as f:
         expected = f.read()
-    permutations = itertools.permutations
-    monkeypatch.setattr(itertools, "permutations", lambda letters: (
-        w for w in permutations(letters) if w[:1] == (5,)))
-    trees.beta_fibers.cache_clear()
-    try:
-        code, out, err = run(capsys, "fiber", "--map", "beta", "--input", key)
-    finally:
-        trees.beta_fibers.cache_clear()  # the part of S_10's table built here
+
+    def fail(*args):
+        raise AssertionError("projected the words of S_n")
+    monkeypatch.setattr(trees, "_projected", fail)
+    code, out, err = run(capsys, "fiber", "--map", "beta", "--input", key)
     assert (code, out, err) == (0, expected, "")
 
 
@@ -530,8 +574,9 @@ def test_fiber_that_is_not_an_interval_exits_one(capsys, monkeypatch):
     # its least and greatest word when a word between them is dropped
     fibers = trees.beta_fibers(5)
     key = next(k for k, words in fibers.items() if len(words) >= 3)
-    monkeypatch.setattr(posets, "beta_fibers", lambda n: {
-        k: words[:1] + words[2:] if k == key else words for k, words in fibers.items()})
+    key_fiber = posets._key_fiber
+    monkeypatch.setattr(posets, "_key_fiber", lambda k: (
+        key_fiber(k)[:1] + key_fiber(k)[2:] if k == key else key_fiber(k)))
     code, out, err = run(capsys, "fiber", "--map", "beta", "--input", key)
     assert (code, out) == (1, "")
     assert err == f"certification error: fiber of {key!r} is not an interval\n"

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from multisym import series
 from multisym.series import (
     TruncatedSeries,
     bileveled_count,
@@ -17,6 +18,20 @@ def test_counting_series():
     assert counts("Y", 5).coeffs == (1, 1, 2, 5, 14, 42)
     assert counts("S", 5).coeffs == (1, 1, 2, 6, 24, 120)
     assert counts("M", 6)[6] == 322
+
+
+def test_counts_refuse_an_order_past_the_limit_before_any_coefficient(monkeypatch):
+    assert series.MAX_SERIES_ORDER == 2000
+    counts("S", 2000)
+    def fail(*args):
+        raise AssertionError("made a coefficient past the order limit")
+    monkeypatch.setattr(series, "bileveled_count", fail)
+    monkeypatch.setattr(series, "catalan", fail)
+    for family in "SYM":
+        with pytest.raises(ValueError, match=r"^a series is limited to order 2000, got 2001$"):
+            counts(family, 2001)
+    with pytest.raises(ValueError, match=r"^order must be nonnegative$"):
+        counts("M", -1)
 
 
 def test_recurrence_matches_enumeration():

@@ -465,26 +465,28 @@ def test_beta_fibers_partition():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_beta_fibers_match_a_grouping_of_the_permutations(n):
     # each word rendered and grouped in the order the permutations come in:
-    # the fibers in the order of their least words, each one sorted
+    # the fibers in the order of their least words, each one sorted; the
+    # fiber read off each circled key's brackets has the same words in order
     expected = {}
     for word in itertools.permutations(range(1, n + 1)):
         expected.setdefault(render(bileveled_of_perm(word)), []).append(render_perm(word))
     got = {key: [render_perm(w) for w in words] for key, words in beta_fibers(n).items()}
     assert list(got.items()) == list(expected.items())
+    read = {key: [render_perm(w) for w in trees._key_fiber(key)]
+            for key in enumerate_family("M", n)}
+    assert read == expected
 
 
-def test_beta_fibers_cannot_be_mutated_by_a_caller():
+def test_beta_fibers_build_a_new_table_for_each_call():
     from multisym import verify
 
     fibers = beta_fibers(4)
     key = next(iter(fibers))
-    with pytest.raises(TypeError):
-        fibers[key] = ()
-    with pytest.raises(TypeError):
-        del fibers[key]
-    with pytest.raises(AttributeError):  # a read-only mapping has no pop
-        fibers.pop(key)
-    assert beta_fibers(4) is fibers and len(fibers) == 21
+    words = fibers.pop(key)
+    fibers[key + "x"] = ()
+    again = beta_fibers(4)
+    assert again is not fibers and len(again) == 21
+    assert again[key] == words and key + "x" not in again
     assert verify.suite_fibers(4).summary_line() == "suite=fibers n_max=4 status=pass"
 
 

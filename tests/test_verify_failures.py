@@ -164,9 +164,9 @@ def test_thm3_reports_the_key_whose_closed_form_is_off(monkeypatch, capsys):
 def test_eq8_reports_the_key_whose_fiber_lost_a_word(monkeypatch, capsys):
     fibers = trees.beta_fibers(4)
     target = [key for key in trees.enumerate_family("M", 4) if len(fibers[key]) > 1][-1]
-    beta_fibers = algebra.beta_fibers
-    monkeypatch.setattr(algebra, "beta_fibers", lambda n: {
-        k: v[1:] if k == target else v for k, v in beta_fibers(n).items()})
+    key_fiber = algebra._key_fiber
+    monkeypatch.setattr(algebra, "_key_fiber", lambda k: (
+        key_fiber(k)[1:] if k == target else key_fiber(k)))
     assert_fails_with(capsys, ["eq8", "--n-max", "4"], "eq8", 4, target)
 
 
