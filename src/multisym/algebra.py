@@ -10,11 +10,9 @@ which never occurs as an enumerable key.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import sys
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache, partial
 
 from . import posets
@@ -23,6 +21,8 @@ from .trees import (
     _PLAIN,
     _UNCIRCLE,
     MAPS,
+    _Record,
+    _set,
     _beta_key,
     _check_count,
     _coinvariant_key,
@@ -65,13 +65,11 @@ def _check_names(families, bases) -> None:
             raise ValueError(f"unknown basis {basis!r}")
 
 
-class _Combo:
+class _Combo(_Record):
     """What both combinations share: zero terms are dropped on construction,
     ``items`` lists the terms sorted, and a combination is false when empty."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms",
-                           {k: v for k, v in self.terms.items() if v != 0})
+    __slots__ = ()
 
     def items(self):
         return sorted(self.terms.items())
@@ -80,40 +78,43 @@ class _Combo:
         return bool(self.terms)
 
 
-@dataclass(frozen=True)
 class LinearCombo(_Combo):
     """Finitely supported integer combination of keys from one family/basis."""
 
-    family: str
-    basis: str
-    terms: dict[str, int]
+    __slots__ = _fields = ("family", "basis", "terms")
 
-    def __post_init__(self):
-        _check_names((self.family,), (self.basis,))
-        super().__post_init__()
+    def __init__(self, family: str, basis: str, terms: dict[str, int]):
+        _check_names((family,), (basis,))
+        _set(self, "family", family)
+        _set(self, "basis", basis)
+        _set(self, "terms", {k: v for k, v in terms.items() if v != 0})
 
 
-@dataclass(frozen=True)
 class TensorCombo(_Combo):
     """Integer combination of key pairs; factor families/bases are fixed."""
 
-    left_family: str
-    right_family: str
-    left_basis: str
-    right_basis: str
-    terms: dict[tuple[str, str], int]
+    __slots__ = _fields = ("left_family", "right_family", "left_basis", "right_basis", "terms")
 
-    def __post_init__(self):
-        _check_names((self.left_family, self.right_family), (self.left_basis, self.right_basis))
-        super().__post_init__()
+    def __init__(self, left_family: str, right_family: str, left_basis: str,
+                 right_basis: str, terms: dict[tuple[str, str], int]):
+        _check_names((left_family, right_family), (left_basis, right_basis))
+        _set(self, "left_family", left_family)
+        _set(self, "right_family", right_family)
+        _set(self, "left_basis", left_basis)
+        _set(self, "right_basis", right_basis)
+        _set(self, "terms", {k: v for k, v in terms.items() if v != 0})
 
 
 def combo_to_json(c: LinearCombo) -> str:
+    import json
+
     return json.dumps({"family": c.family, "basis": c.basis, "terms": dict(c.items())},
                       sort_keys=True)
 
 
 def tensor_to_json(t: TensorCombo) -> str:
+    import json
+
     return json.dumps({"terms": [{"left": l, "right": r, "coef": v}
                                  for (l, r), v in t.items()]})
 
@@ -435,10 +436,8 @@ def coinvariant_basis(n: int) -> list[str]:
 # theorem-checking routines
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    left: TensorCombo | LinearCombo
-    right: TensorCombo | LinearCombo
+class ComparisonReport(_Record, namedtuple("ComparisonReport", "left right")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

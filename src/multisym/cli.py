@@ -8,7 +8,6 @@ Output is deterministic; ``--json`` switches to machine form.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import algebra, posets, series, trees, verify
@@ -61,9 +60,12 @@ def _cmd_fiber(args) -> int:
         hi = trees.render_perm(trees.max_word(t))
     else:
         b = trees.parse_key("M", args.input)
-        lo, hi = posets.fiber_interval(b.size, b)
-        words = [trees.render_perm(w) for w in trees._key_fiber(args.input)]
+        fiber, least, greatest = posets._certified_fiber(b.size, b)
+        words = [trees.render_perm(w) for w in fiber]
+        lo, hi = trees.render_perm(least), trees.render_perm(greatest)
     if args.json:
+        import json
+
         print(json.dumps({"fiber": words, "min": lo, "max": hi}, sort_keys=True))
     else:
         for w in words:
@@ -151,6 +153,8 @@ def _cmd_hilbert(args) -> int:
                                         series.counts("Y", args.order))
     else:
         result = series.counts(args.family, args.order)
+    if args.json:
+        import json
     # the coefficients are exact: lift the interpreter's limit on the digits
     # of an int turned into text (CPython 3.11, and 3.10.7 on), then restore it
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

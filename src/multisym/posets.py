@@ -16,12 +16,14 @@ Words can also be compared with no table, by their position inversions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from heapq import heappop, heappush
 
 from .trees import (
     BiLeveledTree,
+    _Record,
+    _set,
     _check_size,
     _ends,
     _key_fiber,
@@ -508,12 +510,19 @@ def fiber_interval(n: int, b: BiLeveledTree | str) -> tuple[str, str]:
     The fiber must be an interval of the weak order, and its least word must
     match the closed-form minimal word; otherwise ``CertificationError``.
     """
+    _, least, greatest = _certified_fiber(n, b)
+    return render_perm(least), render_perm(greatest)
+
+
+def _certified_fiber(n: int, b: BiLeveledTree | str):
+    """The sorted fiber words of ``b`` and their least and greatest word,
+    certified as ``fiber_interval`` says; the fiber is read once."""
     check_enumeration_size("S", n)
     key, obj = (b, parse_key("M", b)) if isinstance(b, str) else (render(b), b)
     if not isinstance(obj, BiLeveledTree) or obj.size != n:
         raise ValueError(f"{key!r} is not a bi-leveled key of size {n}")
-    least, greatest = _fiber_interval(key, fiber_min_word(obj), _key_fiber(key))
-    return render_perm(least), render_perm(greatest)
+    words = _key_fiber(key)
+    return (words, *_fiber_interval(key, fiber_min_word(obj), words))
 
 
 def _fiber_interval(key: str, least: tuple[int, ...], words):
@@ -531,33 +540,31 @@ def _fiber_interval(key: str, least: tuple[int, ...], words):
 # poset map pairs and their certificates
 
 
-@dataclass(frozen=True)
-class PosetMapPair:
+class PosetMapPair(_Record):
     """A forward/backward pair of total maps between two posets, also kept
     as the index tables the certificates read: ``_fwd[i]`` is the target
     index of the image of source index i, and ``_bwd`` the reverse."""
 
-    source: FinitePoset
-    target: FinitePoset
-    forward: dict[str, str]
-    backward: dict[str, str]
-    _fwd: list[int] = field(init=False, repr=False, compare=False)
-    _bwd: list[int] = field(init=False, repr=False, compare=False)
+    _fields = ("source", "target", "forward", "backward")
+    __slots__ = (*_fields, "_fwd", "_bwd")
 
-    def __post_init__(self):
-        P, Q = self.source, self.target
-        if set(self.forward) != set(P.elements):
+    def __init__(self, source: FinitePoset, target: FinitePoset,
+                 forward: dict[str, str], backward: dict[str, str]):
+        P, Q = source, target
+        if set(forward) != set(P.elements):
             raise ValueError("forward map must be total on the source")
-        if set(self.backward) != set(Q.elements):
+        if set(backward) != set(Q.elements):
             raise ValueError("backward map must be total on the target")
-        for x, y in self.forward.items():
+        for x, y in forward.items():
             if y not in Q:
                 raise ValueError(f"forward image {y!r} of {x!r} not in target")
-        for x, y in self.backward.items():
+        for x, y in backward.items():
             if y not in P:
                 raise ValueError(f"backward image {y!r} of {x!r} not in source")
-        object.__setattr__(self, "_fwd", [Q.index[self.forward[x]] for x in P._names])
-        object.__setattr__(self, "_bwd", [P.index[self.backward[t]] for t in Q._names])
+        for name, value in zip(self._fields, (source, target, forward, backward)):
+            _set(self, name, value)
+        _set(self, "_fwd", [Q.index[forward[x]] for x in P._names])
+        _set(self, "_bwd", [P.index[backward[t]] for t in Q._names])
 
 
 def _fiber_masks(image: list[int], size: int) -> list[int]:
@@ -592,13 +599,10 @@ def _mobius_sums(P, sources, image, size: int) -> list[int]:
     return sums
 
 
-@dataclass(frozen=True)
-class GaloisReport:
-    forward_order_preserving: str | None
-    backward_order_preserving: str | None
-    adjunction_failure: str | None
-    mobius_failure: str | None
-    checked_mobius: bool
+class GaloisReport(_Record, namedtuple("GaloisReport", (
+        "forward_order_preserving", "backward_order_preserving", "adjunction_failure",
+        "mobius_failure", "checked_mobius"))):
+    __slots__ = ()
 
     @property
     def adjunction_holds(self) -> bool:
@@ -662,14 +666,10 @@ def check_galois(pair: PosetMapPair) -> GaloisReport:
     return GaloisReport(fwd_bad, bwd_bad, adjunction, mobius_bad, checked)
 
 
-@dataclass(frozen=True)
-class RetractReport:
-    source_is_lattice: bool
-    forward_order_preserving: str | None
-    backward_order_preserving: str | None
-    section_failure: str | None
-    fiber_failure: str | None
-    mobius_failure: str | None
+class RetractReport(_Record, namedtuple("RetractReport", (
+        "source_is_lattice", "forward_order_preserving", "backward_order_preserving",
+        "section_failure", "fiber_failure", "mobius_failure"))):
+    __slots__ = ()
 
     @property
     def clauses_hold(self) -> bool:

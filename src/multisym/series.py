@@ -8,20 +8,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
+from .trees import _Record, _set
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+
+class TruncatedSeries(_Record):
     """Coefficients c_0..c_N of a power series truncated at order N."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...]):
+        if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        _set(self, "coeffs", tuple(int(c) for c in coeffs))
 
     @property
     def order(self) -> int:
@@ -105,10 +106,8 @@ def series_quotient(numer: TruncatedSeries, denom: TruncatedSeries) -> Truncated
     return numer / denom
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    n_max: int
-    failures: tuple[str, ...]
+class DimensionReport(_Record, namedtuple("DimensionReport", "n_max failures")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -13,8 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 
 class ParseError(ValueError):
@@ -32,15 +33,66 @@ class ArityError(ValueError):
 # ---------------------------------------------------------------------------
 # core types
 
+_set = object.__setattr__  # how a record's __init__ writes its fields
 
-@dataclass(frozen=True, init=False)
-class PlanarTree:
+
+class _Frozen:
+    """A value written once, when it is made: assigning or deleting raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Record(_Frozen):
+    """An immutable record: a ``namedtuple``, or ``__slots__`` that ``__init__``
+    writes by ``_set``.  ``_fields`` names its constructor's parameters, and it
+    equals only a record of its own class with equal fields (never a tuple)."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return attrgetter(*self._fields)(self)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._values() == other._values()
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def _replace(self, **changes):
+        return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)
+
+
+class _Tree(_Frozen):
+    """A tree is its canonical key: ``_hold`` writes ``key`` and ``size`` into
+    the instance dict, and the tree compares and hashes on ``key`` alone."""
+
+    def __eq__(self, other):
+        return self.key == other.key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __repr__(self):
+        return f"{type(self).__name__}[{self.key}]"
+
+
+class PlanarTree(_Tree):
     """Rooted planar binary tree; the bare leaf (no children) has size 0.  It
     is its canonical key: equality and hashing compare ``key``, and ``left``
     and ``right`` are read off it on first access and kept."""
-
-    key: str
-    size: int = field(compare=False)
 
     def __init__(self, left: PlanarTree | None = None, right: PlanarTree | None = None):
         if (left is None) != (right is None):
@@ -59,12 +111,8 @@ class PlanarTree:
     def is_leaf(self) -> bool:
         return self.key == "."
 
-    def __repr__(self):
-        return f"PlanarTree[{self.key}]"
 
-
-@dataclass(frozen=True, init=False)
-class BiLeveledTree:
+class BiLeveledTree(_Tree):
     """A planar tree with an upward-closed crown of circled nodes.
 
     ``circled`` holds in-order node indices.  Validity: node 1 is circled
@@ -73,9 +121,6 @@ class BiLeveledTree:
     a plain tree, it is its key: ``tree`` and ``circled`` are read off it on
     first access and kept.
     """
-
-    key: str
-    size: int = field(compare=False)
 
     def __init__(self, tree: PlanarTree, circled):
         key, circled = render(tree), frozenset(circled)
@@ -97,13 +142,10 @@ class BiLeveledTree:
         plain = self.key.count("(")
         return frozenset(i for i, a in enumerate(_key_word(self.key), 1) if a > plain)
 
-    def __repr__(self):
-        return f"BiLeveledTree[{self.key}]"
-
 
 def _hold(obj, key: str):
     """Write ``key`` and its size (n nodes take 3n + 1 characters) into ``obj``."""
-    fields = obj.__dict__  # a frozen dataclass is written through its dict
+    fields = obj.__dict__  # a tree refuses assignment, so its dict is written
     fields["key"], fields["size"] = key, len(key) // 3
     return obj
 
@@ -170,24 +212,22 @@ def _check_bileveled(key: str, circled: frozenset[int]) -> None:
         raise ValidityError(f"circled node {min(bad)} has an uncircled parent")
 
 
-@dataclass(frozen=True)
-class ForestDecomposition:
+class ForestDecomposition(_Record, namedtuple("ForestDecomposition", "base hanging")):
     """Circled base tree plus the uncircled trees hanging above its leaves.
 
     ``hanging[i]`` sits above leaf ``i + 2`` of the base; the slot above
     leaf 1 is always empty, which is forced by validity of the source.
     """
 
-    base: PlanarTree
-    hanging: tuple[PlanarTree, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.hanging) != self.base.size:
+    def __new__(cls, base: PlanarTree, hanging: tuple[PlanarTree, ...]):
+        if len(hanging) != base.size:
             raise ArityError("need exactly one hanging tree per base node")
+        return super().__new__(cls, base, hanging)
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(_Record, namedtuple("Splitting", "source circled leaves pieces")):
     """One way of cutting a tree along ``leaves`` down to the root.
 
     ``pieces`` are the resulting subtrees, left to right; they occupy
@@ -195,10 +235,7 @@ class Splitting:
     the source is bi-leveled) localises to each piece by offset arithmetic.
     """
 
-    source: PlanarTree
-    circled: frozenset[int] | None
-    leaves: tuple[int, ...]
-    pieces: tuple[PlanarTree, ...]
+    __slots__ = ()
 
     @property
     def piece_sizes(self) -> tuple[int, ...]:

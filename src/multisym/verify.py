@@ -7,17 +7,14 @@ machine-readable summary line.  Suites never mutate shared state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import algebra, posets, series, trees
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    n_max: int
-    passed: bool
-    counterexample: str | None = None
+class SuiteResult(trees._Record, namedtuple(
+        "SuiteResult", "name n_max passed counterexample", defaults=(None,))):
+    __slots__ = ()
 
     def summary_line(self) -> str:
         line = f"suite={self.name} n_max={self.n_max} status=" + (

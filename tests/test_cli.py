@@ -499,6 +499,25 @@ def test_beta_fiber_of_ten_letters_keeps_its_bytes(capsys, monkeypatch):
     assert (code, out, err) == (0, expected, "")
 
 
+@pytest.mark.parametrize("key", ["{..}", "{{.(..)}(..)}", "{{{{..}.}.}{{((..).)(.(..))}.}}"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_beta_fiber_is_read_once_per_command(capsys, monkeypatch, key, json_flag):
+    # the words printed are the words certified: one read of the fiber serves
+    # both, whichever module's binding would make it
+    calls = []
+    for module in (posets, trees):
+        def counted(k, read=module._key_fiber):
+            calls.append(k)
+            return read(k)
+        monkeypatch.setattr(module, "_key_fiber", counted)
+    code, out, err = run(capsys, "fiber", "--map", "beta", "--input", key, *json_flag)
+    assert (code, err, calls) == (0, "", [key])
+    lo, hi = posets.fiber_interval(len(key) // 3, key)
+    words = [trees.render_perm(w) for w in trees._key_fiber(key)]
+    assert out == (json.dumps({"fiber": words, "min": lo, "max": hi}, sort_keys=True) + "\n"
+                   if json_flag else "".join(w + "\n" for w in words) + f"min={lo} max={hi}\n")
+
+
 CIRCLED_COMB_10 = "{" * 10 + "." + ".}" * 10
 
 

@@ -2,8 +2,6 @@
 is injected on a module attribute the suite reads, and the run must exit 1
 with the summary line naming the counterexample that fault plants."""
 
-import dataclasses
-
 import pytest
 
 from multisym import algebra, cli, posets, series, trees
@@ -137,7 +135,7 @@ def test_interval_retract_reports_the_first_failing_clause(monkeypatch, capsys, 
         report = check(pair)
         assert report.passed
         if pair.target is posets.bileveled_order(3):
-            return dataclasses.replace(report, **fault)
+            return report._replace(**fault)
         return report
 
     monkeypatch.setattr(posets, "check_interval_retract", faulty)
