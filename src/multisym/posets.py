@@ -429,17 +429,7 @@ def poset_for(family: str, n: int) -> FinitePoset:
 # pairs p < q with u[p] > u[q], lie among those of w (Björner & Brenti,
 # Combinatorics of Coxeter Groups, §3.1): a cover swaps the values k and k+1
 # where k sits left of k+1, which inverts their two places and leaves every
-# other pair of places as it was.  An inversion set is one int, bit p*n + q.
-
-
-def _inversions(word: tuple[int, ...]) -> int:
-    """The mask of the position inversions of ``word``."""
-    n, mask = len(word), 0
-    for p, a in enumerate(word):
-        for q in range(p + 1, n):
-            if a > word[q]:
-                mask |= 1 << p * n + q
-    return mask
+# other pair of places as it was.
 
 
 def weak_interval_ends(words) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -457,7 +447,7 @@ def weak_interval_ends(words) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     if not members:
         return None
     least, greatest = min(members), max(members)
-    n, top = len(least), _inversions(greatest)
+    n = len(least)
     reached, todo = {least}, [least]
     place = [0] * (n + 1)
     while todo:
@@ -466,7 +456,7 @@ def weak_interval_ends(words) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
             place[a] = p
         for k in range(1, n):
             p, q = place[k], place[k + 1]
-            if p < q and top >> p * n + q & 1:
+            if p < q and greatest[p] > greatest[q]:
                 up = list(word)
                 up[p], up[q] = k + 1, k
                 up = tuple(up)
@@ -484,18 +474,18 @@ def weak_upset_masks(words) -> list[int]:
     """``weak_order(n).upset_masks`` with no table, on the words ``words``
     of S_n: per position i, the mask of the positions j with ``words[i] <=
     words[j]``, equal words keeping their own bits.  Bit-parallel: one mask
-    per inversion, of the words that have it, and the up-set of a word is
-    the AND of the masks of its own inversions."""
-    inversions = [_inversions(w) for w in words]
-    having: dict[int, int] = {}
-    for j, mask in enumerate(inversions):
-        for b in _bits(mask):
-            having[b] = having.get(b, 0) | 1 << j
-    everyone, out = (1 << len(inversions)) - 1, []
-    for mask in inversions:
+    per pair of places, of the words that invert it, and the up-set of a word
+    is the AND of the masks of the pairs it inverts."""
+    n = len(words[0]) if words else 0
+    # bit j of a pair's mask is words[j]'s, so the text lists the last word first
+    inverting = [(p, q, int("".join(["1" if w[p] > w[q] else "0" for w in words[::-1]]), 2))
+                 for p, q in itertools.combinations(range(n), 2)]
+    everyone, out = (1 << len(words)) - 1, []
+    for w in words:
         up = everyone
-        for b in _bits(mask):
-            up &= having[b]
+        for p, q, mask in inverting:
+            if w[p] > w[q]:
+                up &= mask
         out.append(up)
     return out
 

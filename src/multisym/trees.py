@@ -15,7 +15,7 @@ import math
 import sys
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 
 class ParseError(ValueError):
@@ -641,16 +641,23 @@ def _key_fiber(key: str) -> list[tuple[int, ...]]:
             done.append(([()], 0))
         elif ch in ")}":
             (rights, right_up), (lefts, left_up) = done.pop(), done.pop()
-            size, up = len(lefts[0]) + len(rights[0]) + 1, left_up + right_up
+            nl = len(lefts[0])
+            size, up = nl + len(rights[0]) + 1, left_up + right_up
+            if size == 1:  # a lone index would make itemgetter return a bare letter
+                done.append(([(1,)], up + (ch == "}")))
+                continue
+            # a split's labels are (0, left labels, size, right labels): left letter a
+            # sits at position a, so each pair of child words is one pick of
+            # positions, the same for every split
+            picks = [itemgetter(*lw, nl + 1, *[nl + 1 + a for a in rw])
+                     for lw in lefts for rw in rights]
             letters, out = range(1, size), []
-            for left_labels in itertools.combinations(letters, len(lefts[0])):
+            for left_labels in itertools.combinations(letters, nl):
                 if up and sum(a >= size - up for a in left_labels) != left_up:
                     continue
                 taken = set(left_labels)
-                right_labels = [a for a in letters if a not in taken]
-                ls = [tuple(left_labels[a - 1] for a in w) for w in lefts]
-                rs = [tuple(right_labels[a - 1] for a in w) for w in rights]
-                out += [lw + (size,) + rw for lw in ls for rw in rs]
+                labels = (0, *left_labels, size, *[a for a in letters if a not in taken])
+                out += [pick(labels) for pick in picks]
             done.append((out, up + (ch == "}")))
     fiber, up = done[0]
     return sorted(w for w in fiber if not up or w[0] == len(key) // 3 - up + 1)

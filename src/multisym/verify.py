@@ -74,22 +74,24 @@ def suite_tamari_oracle(n_max: int = 5) -> SuiteResult:
     trees.check_enumeration_size("S", n_max)
     for n in range(1, n_max + 1):
         tam = posets.tamari(n)
-        keys = tam.elements
-        mins = [trees._key_word(k) for k in keys]
-        maxes = [trees._key_word(k, True) for k in keys]
-        # bit j of row i: keys[i] <= keys[j] in the rotation order, between
+        names = tam._names  # the order's own index order, which its masks use
+        mins = [trees._key_word(k) for k in names]
+        maxes = [trees._key_word(k, True) for k in names]
+        # bit j of row i: names[i] <= names[j] in the rotation order, between
         # their minimal words, between their maximal words; a pair fails when
         # the first two differ or the first holds without the third, and the
-        # lowest failing bit of the first failing row is the first failing pair
-        rows = zip(tam.upset_masks(keys), posets.weak_upset_masks(mins),
-                   posets.weak_upset_masks(maxes))
-        for a, (up, up_min, up_max) in zip(keys, rows):
-            bad = (up ^ up_min) | (up & ~up_max)
+        # first failing pair is named in key order
+        up_min, up_max = posets.weak_upset_masks(mins), posets.weak_upset_masks(maxes)
+        for a in tam.elements:
+            i = tam.index[a]
+            up = tam._up[i]
+            bad = (up ^ up_min[i]) | (up & ~up_max[i])
             if bad:
-                b = keys[(bad & -bad).bit_length() - 1]
+                b = names[tam._first(posets._bits(bad))]
                 return SuiteResult("tamari-oracle", n_max, False, f"{a}<={b}")
-        for key, ends in zip(keys, zip(mins, maxes)):
-            if posets.weak_interval_ends(trees._key_fiber(key)) != ends:
+        for key in tam.elements:
+            i = tam.index[key]
+            if posets.weak_interval_ends(trees._key_fiber(key)) != (mins[i], maxes[i]):
                 return SuiteResult("tamari-oracle", n_max, False, key)
     return SuiteResult("tamari-oracle", n_max, True)
 

@@ -456,6 +456,17 @@ def test_word_suites_build_no_weak_order(capsys, monkeypatch, argv):
     assert (code, out, err) == (0, f"suite={argv[1]} n_max=7 status=pass\n", "")
 
 
+def test_tamari_oracle_maps_no_upset_into_key_positions(capsys, monkeypatch):
+    # the suite compares rows in the rotation order's own index order; the
+    # fault tests in test_verify.py check that it still names the first
+    # failing pair in key order
+    def fail(*args):
+        raise AssertionError("mapped up-sets into key positions")
+    monkeypatch.setattr(posets.FinitePoset, "upset_masks", fail)
+    code, out, err = run(capsys, "verify", "tamari-oracle", "--n-max", "7")
+    assert (code, out, err) == (0, "suite=tamari-oracle n_max=7 status=pass\n", "")
+
+
 def test_word_suites_parse_and_render_no_word(capsys, monkeypatch):
     # fibers reads its words off the fiber table, which holds them as words,
     # and tamari-oracle reads its words off the keys

@@ -467,9 +467,8 @@ def test_tree_fibers_are_weak_intervals():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_inversion_masks_compare_as_the_weak_order(n):
     P = weak_order(n)
-    masks = {w: posets._inversions(parse_perm(w)) for w in P.elements}
-    for w, mask in masks.items():
-        assert mask == sum(1 << p * n + q for p, q in position_inversions(parse_perm(w)))
+    masks = {w: sum(1 << p * n + q for p, q in position_inversions(parse_perm(w)))
+             for w in P.elements}
     for u, a in masks.items():
         for w, b in masks.items():
             assert (a & ~b == 0) == P.leq(u, w)

@@ -411,6 +411,17 @@ def test_fiber_matches_brute_force():
             assert trees._key_fiber(key) == fiber_of_tree(t) == brute_fiber(t), key
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tree_fibers_match_a_grouping_of_the_permutations(n):
+    # each word grouped by its tree's key in the order the permutations come
+    # in, so each fiber sorted: the fiber read off each plain key's brackets
+    # has the same words in the same order
+    expected = {}
+    for word in itertools.permutations(range(1, n + 1)):
+        expected.setdefault(render(tree_of_perm(word)), []).append(word)
+    assert {key: trees._key_fiber(key) for key in enumerate_family("Y", n)} == expected
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_fiber_size_counts_the_fiber(n):
     for key in enumerate_family("Y", n):
