@@ -199,22 +199,19 @@ def _frozen(terms: dict) -> tuple:
                  for k, v in terms.items())
 
 
-def _segments(u: tuple[int, ...], circle_from: int) -> list[list[str]]:
-    """``segments[i][j - i]`` is the key of ``u[i:j]``: one prefix walk per start."""
-    return [_prefix_keys(u[i:], circle_from) for i in range(len(u))] + [["."]]
-
-
 def _grafts(segments: list[list[str]], base: str, cut_lists):
     """For each tuple of cuts, the key of that interleaving: ``base``, the
     key of the raised word, with its leaves, left to right, replaced by the
-    keys of the segments between the cuts (``segments`` as ``_segments``
-    builds them)."""
-    end, (head, *gaps) = len(segments) - 1, base.split(".")
+    keys of the left word's segments between the cuts: ``segments[i][j - i]``
+    that of its letters i to j - 1, and ``segments[i][-1]`` that of its
+    suffix from i."""
+    head, *gaps, last = base.split(".")
     for cuts in cut_lists:
         parts, i = [head], 0
-        for j, gap in zip(cuts + (end,), gaps):
+        for j, gap in zip(cuts, gaps):
             parts += (segments[i][j - i], gap)
             i = j
+        parts += (segments[i][-1], last)
         yield "".join(parts)
 
 
@@ -229,10 +226,11 @@ def _shuffle(left: str, x: str, right: str, y: str) -> tuple:
     if left == "S":
         v = _read(right, y)
     else:
-        # the first segment walk checks x, and the walk of v checks y, which
+        # the prefix walk of u checks x, and the walk of v checks y, which
         # is then the base of every graft
-        segments = _segments(u, _PLAIN if left == "Y" else u[0])
-        _check(left, x, segments[0][-1])
+        circle_from = _PLAIN if left == "Y" else u[0]
+        prefixes = _prefix_keys(u, circle_from)
+        _check(left, x, prefixes[-1])
         v = _read(right, y)
         _check(right, y, _PROJECT[right](v))
     n, p = len(u), len(v)
@@ -241,6 +239,10 @@ def _shuffle(left: str, x: str, right: str, y: str) -> tuple:
         # v raised above u: every interleaving is already a word on 1..n + p
         every = itertools.combinations_with_replacement(range(n + 1), p)
         return _frozen(Counter(render_perm(_interleave(u, cuts, v)) for cuts in every))
+    if p > 1:  # one prefix walk per start
+        segments = [prefixes, *(_prefix_keys(u[i:], circle_from) for i in range(1, n)), ["."]]
+    else:  # only prefixes and suffixes are read: one suffix walk
+        segments = [prefixes, *([key] for key in _suffix_keys(u, circle_from)[1:])]
     if left == "Y":
         return _frozen(Counter(_grafts(
             segments, y, itertools.combinations_with_replacement(range(n + 1), p))))
@@ -270,7 +272,8 @@ def _deconcatenate(left: str, right: str, x: str) -> tuple:
         prefixes = _prefix_keys(w, _PLAIN if left == "Y" else w[0])
         _check(left, x, prefixes[-1])
         cuts = zip(prefixes, _suffix_keys(w))
-    return _frozen(Counter(itertools.islice(cuts, 0 if left == right else 1, None)))
+    # the cuts are distinct, their left pieces being of distinct sizes
+    return _frozen(dict.fromkeys(itertools.islice(cuts, 0 if left == right else 1, None), 1))
 
 
 def product_fund(family: str, x: str, y: str) -> LinearCombo:

@@ -514,7 +514,6 @@ def tree_of_perm(word: tuple[int, ...]) -> PlanarTree:
 # of that word gives the key back, circled from its first letter if circled.
 
 _PLAIN = sys.maxsize  # a threshold above every letter: nothing circled
-_MIRROR = str.maketrans("(){}", ")(}{")
 _UNCIRCLE = str.maketrans("{}", "()")  # a circled key to its shape's key
 _CIRCLE = str.maketrans("()", "{}")
 
@@ -555,10 +554,30 @@ def _prefix_keys(word: tuple[int, ...], circle_from: int = _PLAIN,
 
 def _suffix_keys(word: tuple[int, ...], circle_from: int = _PLAIN) -> list[str]:
     """The key of the decreasing tree of each suffix of ``word``, longest
-    first, circled as in ``_prefix_keys``: the prefix keys of the reversed
-    word, each mirrored (read backwards with its brackets swapped)."""
-    return [key[::-1].translate(_MIRROR)
-            for key in reversed(_prefix_keys(word[::-1], circle_from))]
+    first, circled as in ``_prefix_keys``, by its walk mirrored: a letter
+    takes the left spine's nodes with smaller letters as its right part, and
+    a key is the spine's openers, a leaf and each node's tail (its right part
+    and closer), deepest first."""
+    keys, opens, tail = ["."], "", ""
+    letters, held = [_PLAIN], [0]  # held[i]: the length of tail held by the top i nodes
+    for a in reversed(word):
+        right = "."
+        if letters[-1] < a:
+            i = len(letters) - 2
+            while letters[i] < a:
+                i -= 1
+            cut = len(tail) - held[i]
+            right = opens[i:] + "." + tail[:cut]
+            del letters[i + 1:], held[i + 1:]
+            opens, tail = opens[:i], tail[cut:]
+        if a >= circle_from:
+            opens, tail = opens + "{", right + "}" + tail
+        else:
+            opens, tail = opens + "(", right + ")" + tail
+        letters.append(a)
+        held.append(len(tail))
+        keys.append(opens + "." + tail)
+    return keys[::-1]
 
 
 def _tau_key(word: tuple[int, ...]) -> str:

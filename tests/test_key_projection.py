@@ -136,6 +136,32 @@ def test_projected_yields_every_word_of_up_to_eight_letters_once_with_its_key(ci
         assert all(key == key_of(word) for word, key in pairs)
 
 
+MIRROR = str.maketrans("(){}", ")(}{")
+
+
+def mirrored_suffix_keys(word, threshold):
+    """The suffix keys as the prefix walk of the reversed word gives them:
+    the decreasing tree of a reversed word is the mirror image of the
+    word's, so each key is read backwards with its brackets swapped."""
+    return [key[::-1].translate(MIRROR) for key in reversed(_prefix_keys(word[::-1], threshold))]
+
+
+def check_suffix_walk(word):
+    for threshold in (_PLAIN, word[0] if word else _PLAIN, 3):
+        assert _suffix_keys(word, threshold) == mirrored_suffix_keys(word, threshold)
+
+
+def test_suffix_walk_mirrors_the_prefix_walk_of_the_reversed_word():
+    for n in range(8):
+        for word in itertools.permutations(range(1, n + 1)):
+            check_suffix_walk(word)
+    rng = random.Random(1620)
+    for _ in range(500):
+        word = list(range(1, rng.randint(1, 40) + 1))
+        rng.shuffle(word)
+        check_suffix_walk(tuple(word))
+
+
 def test_prefix_and_suffix_walks_on_monotone_words():
     # the increasing word's prefixes and suffixes are left combs, the
     # decreasing word's right combs; only the first letter of the decreasing
@@ -262,14 +288,18 @@ def test_monomial_coaction_matches_the_right_cuts():
 
 @pytest.fixture
 def walks(rebind):
-    """The arguments of every call of ``trees._prefix_keys``, through every
-    module that binds it; the kernels' memos are emptied before and after."""
-    calls, original = [], trees._prefix_keys
+    """The arguments of every call of ``trees._prefix_keys`` and
+    ``trees._suffix_keys``, through every module that binds them; the
+    kernels' memos are emptied before and after."""
+    calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-    rebind({"_prefix_keys": counted}, (algebra._shuffle, algebra._deconcatenate))
+    def counted(walk):
+        def count(*args):
+            calls.append(args)
+            return walk(*args)
+        return count
+    rebind({name: counted(getattr(trees, name)) for name in ("_prefix_keys", "_suffix_keys")},
+           (algebra._shuffle, algebra._deconcatenate))
     return calls
 
 
@@ -284,6 +314,14 @@ def test_kernels_walk_each_factor_once_not_each_term(walks):
         # the action keeps the words that start with a letter of x
         assert total == (math.comb(n + p, p) if x_family == y_family else math.comb(n + p - 1, p))
         assert len(walks) <= n + 2
+    # one letter on the right reads only the prefixes and the suffixes of x
+    n = 200
+    for x_family, y_family in KERNEL_PAIRS:
+        x, y = random_key(rng, x_family, n), random_key(rng, y_family, 1)
+        walks.clear()
+        terms = algebra._shuffle(x_family, x, y_family, y)
+        assert sum(c for _, c in terms) == (n + 1 if x_family == y_family else n)
+        assert len(walks) <= 3
     for family in ("Y", "M"):
         x = random_key(rng, family, 10)
         walks.clear()

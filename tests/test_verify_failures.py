@@ -159,6 +159,21 @@ def test_thm3_reports_the_key_whose_closed_form_is_off(monkeypatch, capsys):
     assert_fails_with(capsys, ["thm3", "--n-max", "3"], "thm3", 3, target)
 
 
+def test_thm3_reports_the_key_whose_transported_coaction_is_off(monkeypatch, capsys):
+    # the fundamental coaction of the target loses its last cut; no key
+    # before it lies below it, so its own monomial element is the first to
+    # expand into it
+    target = "{{..}(..)}"
+    deconcatenate = algebra._deconcatenate
+
+    def last_cut_dropped(left, right, x):
+        items = deconcatenate(left, right, x)
+        return items[:-1] if (left, right, x) == ("M", "Y", target) else items
+
+    monkeypatch.setattr(algebra, "_deconcatenate", last_cut_dropped)
+    assert_fails_with(capsys, ["thm3", "--n-max", "3"], "thm3", 3, target)
+
+
 def test_eq8_reports_the_key_whose_fiber_lost_a_word(monkeypatch, capsys):
     fibers = trees.beta_fibers(4)
     target = [key for key in trees.enumerate_family("M", 4) if len(fibers[key]) > 1][-1]
