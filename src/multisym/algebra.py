@@ -30,6 +30,7 @@ from .trees import (
     _key_fiber,
     _key_word,
     _prefix_keys,
+    _right_cuts,
     _standardize,
     _suffix_keys,
     _tau_key,
@@ -401,21 +402,11 @@ def apply_linear_map(name: str, x: LinearCombo) -> LinearCombo:
 
 def coaction_monomial(b: str) -> TensorCombo:
     """Closed form of the coaction in the monomial bases: one term per right
-    cut.  With w the section word, a cut takes off a suffix ``w[k:]`` below
-    ``w[k - 1]`` (the right subtree of a right-spine node) while the suffix
-    has no circled letter, the empty suffix included."""
+    cut of the section word (``trees._right_cuts``)."""
     w = _read("M", b)
     prefixes = _prefix_keys(w, w[0])
     _check("M", b, prefixes[-1])
-    suffixes = _suffix_keys(w)
-    cuts, top = {}, 0  # top: the largest letter of w[k:]
-    for k in range(len(w), 0, -1):
-        if top >= w[0]:
-            break
-        if w[k - 1] > top:
-            cuts[prefixes[k], suffixes[k]] = 1
-        top = max(top, w[k - 1])
-    return TensorCombo("M", "Y", "M", "M", cuts)
+    return TensorCombo("M", "Y", "M", "M", dict.fromkeys(_right_cuts(w, prefixes), 1))
 
 
 def _coaction_of(x: LinearCombo) -> TensorCombo:

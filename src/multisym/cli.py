@@ -147,6 +147,8 @@ def _cmd_coinvariants(args) -> int:
 def _cmd_hilbert(args) -> int:
     if not args.quotient and args.family is None:
         raise ValueError("hilbert needs --family or --quotient")
+    if args.quotient and args.family is not None:
+        raise ValueError("hilbert takes --family or --quotient, not both")
     series.check_series_order(args.order)
     if args.quotient:
         result = series.series_quotient(series.counts("M", args.order),
@@ -176,16 +178,9 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--s-max applies to hopf-module only, not to {args.suite}")
     if args.s_max is not None and args.s_max < 0:
         raise ValueError(f"--s-max must be at least 0, got {args.s_max}")
-    suite = verify.SUITES[args.suite]
-    if args.suite == "hopf-module":
-        kwargs = {}
-        if args.n_max is not None:
-            kwargs["b_max"] = args.n_max
-        if args.s_max is not None:
-            kwargs["s_max"] = args.s_max
-        result = suite(**kwargs)
-    else:
-        result = suite(args.n_max) if args.n_max is not None else suite()
+    bound = () if args.n_max is None else (args.n_max,)
+    acting = {} if args.s_max is None else {"s_max": args.s_max}
+    result = verify.SUITES[args.suite](*bound, **acting)
     print(result.summary_line())
     return 0 if result.passed else 1
 

@@ -74,6 +74,9 @@ class _Record(_Frozen):
     def _replace(self, **changes):
         return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)
 
+    def __reduce__(self):  # copy and pickle rebuild it through its checks
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
 
 class _Tree(_Frozen):
     """A tree is its canonical key: ``_hold`` writes ``key`` and ``size`` into
@@ -865,20 +868,28 @@ def right_graft(b: BiLeveledTree, s: PlanarTree) -> BiLeveledTree:
     return _of_key(_fill(render(b), ["."] * b.size + [render(s)]))
 
 
-def right_cuts(b: BiLeveledTree) -> list[tuple[BiLeveledTree, PlanarTree]]:
-    """All pairs (b', s) with ``right_graft(b', s) == b``, smallest cut first.
-
-    Each cut takes off the subtree of an uncircled right-spine node, from
-    the deepest one up (the crown is upward closed, so nothing below such a
-    node is circled); the cut runs along the leaf just after its parent.
-    """
-    cuts, spine = [(b, LEAF)], right_spine(b.tree)
-    for depth in range(len(spine) - 1, 0, -1):
-        if spine[depth] in b.circled:
+def _right_cuts(word: tuple[int, ...], prefixes: list[str]) -> list[tuple[str, str]]:
+    """(left key, right key) per right cut of the circled key of the section
+    word ``word``, smallest first, from its prefix keys circled from ``word[0]``:
+    a cut takes off a suffix ``word[k:]`` below ``word[k - 1]`` (a right-spine
+    node's right subtree) while it has no circled letter, the empty one included."""
+    suffixes, cuts, top = _suffix_keys(word), [], 0  # top: the largest letter of word[k:]
+    for k in range(len(word), 0, -1):
+        if top >= word[0]:
             break
-        rest, sub = split_at(b.tree, (spine[depth - 1] + 1,))
-        cuts.append((BiLeveledTree(rest, b.circled), sub))
+        if word[k - 1] > top:
+            cuts.append((prefixes[k], suffixes[k]))
+            top = word[k - 1]
     return cuts
+
+
+def right_cuts(b: BiLeveledTree) -> list[tuple[BiLeveledTree, PlanarTree]]:
+    """All pairs (b', s) with ``right_graft(b', s) == b``, smallest cut first."""
+    if not isinstance(b, BiLeveledTree):
+        raise TypeError(f"right cuts need a circled tree, not {type(b).__name__}")
+    word = section_word(b)
+    cuts = _right_cuts(word, _prefix_keys(word, word[0]))
+    return [(_of_key(rest), _of_key(sub)) for rest, sub in cuts]
 
 
 # ---------------------------------------------------------------------------

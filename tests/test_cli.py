@@ -157,6 +157,13 @@ def test_hilbert(capsys):
     assert code == 2
 
 
+def test_hilbert_refuses_both_a_family_and_the_quotient(capsys):
+    # one of the two would be ignored
+    code, out, err = run(capsys, "hilbert", "--family", "S", "--quotient", "--order", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: hilbert takes --family or --quotient, not both\n"
+
+
 @pytest.fixture
 def default_digit_limit():
     """CPython's default limit of 4,300 digits for an int turned into text,
@@ -214,6 +221,22 @@ def test_verify_suites_exit_zero(capsys):
     assert code == 0 and "status=pass" in out
     code, out, _ = run(capsys, "verify", "hopf-module", "--n-max", "2", "--s-max", "1")
     assert code == 0
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_verify_hands_each_suite_its_bounds(capsys, monkeypatch, suite):
+    # --n-max is every suite's first parameter; --s-max is hopf-module's s_max
+    real, calls = verify.SUITES[suite], []
+
+    def record(*args, **kwargs):
+        calls.append(dict(inspect.signature(real).bind(*args, **kwargs).arguments))
+        return verify.SuiteResult(suite, 1, True)
+    monkeypatch.setitem(verify.SUITES, suite, record)
+    acting = ["--s-max", "2"] if suite == "hopf-module" else []
+    assert run(capsys, "verify", suite)[0] == 0
+    assert run(capsys, "verify", suite, "--n-max", "3", *acting)[0] == 0
+    first = next(iter(inspect.signature(real).parameters))
+    assert calls == [{}, {first: 3, **({"s_max": 2} if acting else {})}]
 
 
 @pytest.mark.parametrize("suite", sorted(set(verify.SUITES) - {"hopf-module"}))

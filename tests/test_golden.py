@@ -13,8 +13,10 @@ once, the six after them before cutting, grafting and the structure maps
 moved to fiber words, the seven after them before words were projected
 straight to tree and circled keys, with no tree objects built, the eight
 after them before the poset indices moved to a linear extension and the
-Möbius rows to the crosscut theorem, and the last one before an
-enumeration's lines were written in one piece.  A refactor must reproduce them exactly.  To regenerate after an
+Möbius rows to the crosscut theorem, the one after them before an
+enumeration's lines were written in one piece, and the last five, the tree
+fiber and the maps no other case runs, before the right cuts were read off
+keys.  A refactor must reproduce them exactly.  To regenerate after an
 intended output change, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -114,6 +116,12 @@ COMMANDS = [
     ["convert", "--family", "M", "--from", "M", "--to", "F", "--key", "{{{{{{..}.}.}.}.}.}"],
     # the machine form of an enumeration, which is written in one piece
     ["enumerate", "--family", "Y", "--n", "4", "--json"],
+    # the tree fiber and the maps no case above runs
+    ["fiber", "--map", "tau", "--input", "((..)((..).))"],
+    ["fiber", "--map", "tau", "--input", "((..)((..).))", "--json"],
+    ["map", "--op", "phi", "--input", "{{.(..)}(..)}"],
+    ["map", "--op", "gammaL", "--input", "((..)((..).))"],
+    ["map", "--op", "gammaR", "--input", "((..)((..).))"],
 ]
 
 

@@ -1,8 +1,9 @@
 """The key projections ``trees._tau_key`` and ``trees._beta_key``, the prefix
-and suffix walks under them, and the algebra kernels that graft their keys,
-against a recursive argmax key builder written here: the largest letter is
-the root, the letters before it the left subtree and those after it the
-right one.  The oracle imports nothing from ``multisym.trees``."""
+and suffix walks under them, the algebra kernels that graft their keys and
+the right cuts, against a recursive argmax key builder written here (the
+largest letter is the root, the letters before it the left subtree and those
+after it the right one) and right cuts read off a key's brackets.  The
+oracles import nothing from ``multisym.trees``."""
 
 import inspect
 import itertools
@@ -268,9 +269,36 @@ def test_kernels_on_random_keys_up_to_fourteen_nodes():
                 family, right, x)
 
 
+def subtree_end(key, i):
+    """The index just after the subtree of ``key`` that starts at ``i``."""
+    depth = 0
+    for j in range(i, len(key)):
+        depth += (key[j] in "({") - (key[j] in ")}")
+        if depth == 0:
+            return j + 1
+
+
+def oracle_right_cuts(key):
+    """The right cuts of a circled key, read off its brackets: the whole key
+    with a leaf cut off, then, from the deepest right-spine subtree up to the
+    root's right child and while the subtree holds no circled node, the key
+    with that subtree replaced by a leaf, and the subtree."""
+    spine, i = [], 0  # the start of each right-spine node
+    while key[i] != ".":
+        spine.append(i)
+        i = subtree_end(key, i + 1)  # its right child follows its left one
+    cuts = [(key, ".")]
+    for start in reversed(spine[1:]):
+        sub = key[start:subtree_end(key, start)]
+        if "{" in sub:
+            break
+        cuts.append((key[:start] + "." + key[start + len(sub):], sub))
+    return cuts
+
+
 def reference_coaction_monomial(b):
-    """One term per right cut, on tree objects."""
-    return {(render(rest), render(sub)): 1 for rest, sub in right_cuts(parse_key("M", b))}
+    """One term per right cut, read off the key's brackets."""
+    return dict.fromkeys(oracle_right_cuts(b), 1)
 
 
 def test_monomial_coaction_matches_the_right_cuts():
@@ -330,3 +358,51 @@ def test_kernels_walk_each_factor_once_not_each_term(walks):
     walks.clear()
     algebra.coaction_monomial(random_key(rng, "M", 10))
     assert len(walks) <= 2
+
+
+def spine_cuts(b):
+    """``right_cuts`` on tree objects: each uncircled right-spine node's
+    subtree, from the deepest up, split off along the leaf after its parent."""
+    cuts, spine = [(b, trees.LEAF)], trees.right_spine(b.tree)
+    for depth in range(len(spine) - 1, 0, -1):
+        if spine[depth] in b.circled:
+            break
+        rest, sub = trees.split_at(b.tree, (spine[depth - 1] + 1,))
+        cuts.append((trees.BiLeveledTree(rest, b.circled), sub))
+    return cuts
+
+
+def test_right_cuts_walk_twice_and_build_no_tree(walks, rebind, monkeypatch):
+    # a circled root over a circled cherry and a plain right comb: 199 cuts
+    n = 198
+    key = "{{..}" + "(." * n + "." + ")" * n + "}"
+    b = parse_key("M", key)
+    expected = spine_cuts(b)
+
+    def fail(*args):
+        raise AssertionError("built a tree to cut a key")
+    rebind({"split_at": fail})
+    monkeypatch.setattr(trees.BiLeveledTree, "__init__", fail)
+    walks.clear()
+    assert right_cuts(b) == expected and len(expected) == n + 1
+    assert len(walks) <= 2
+
+
+def test_right_cuts_give_the_spine_cuts():
+    keys = [key for n in range(1, 8) for key in enumerate_family("M", n)]
+    rng = random.Random(1620)
+    keys += [random_key(rng, "M", rng.randint(8, 40)) for _ in range(300)]
+    for key in keys:
+        b = parse_key("M", key)
+        cuts = right_cuts(b)
+        assert cuts == spine_cuts(b)
+        assert [(render(rest), render(sub)) for rest, sub in cuts] == oracle_right_cuts(key)
+        assert all(type(rest) is trees.BiLeveledTree and type(sub) is trees.PlanarTree
+                   for rest, sub in cuts)
+
+
+def test_right_cuts_refuse_a_plain_tree():
+    with pytest.raises(TypeError):
+        right_cuts(trees.LEAF)
+    with pytest.raises(TypeError):
+        right_cuts(parse_key("Y", "(..)"))

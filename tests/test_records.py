@@ -1,8 +1,10 @@
-"""The package's immutable records: how they are built, compared, copied and
-refused, and that importing the package loads neither ``dataclasses`` nor
-``json``."""
+"""The package's immutable records: how they are built, compared, copied,
+pickled and refused, and that importing the package loads neither
+``dataclasses`` nor ``json``."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 
@@ -119,6 +121,30 @@ def test_replace_changes_only_the_named_fields(cls, record, fields):
         assert getattr(record, name) == value
     with pytest.raises(TypeError):
         record._replace(no_such_field=1)
+
+
+def pickled(record):
+    return pickle.loads(pickle.dumps(record))
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, pickled],
+                         ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("cls, record, fields", records(), ids=IDS)
+def test_records_copy_and_pickle(cls, record, fields, duplicate):
+    twin = duplicate(record)
+    assert type(twin) is cls and twin is not record
+    if cls is posets.PosetMapPair and duplicate is not copy.copy:
+        # its posets compare by identity, so a copied pair is compared by
+        # its tables and the elements of its posets
+        assert (twin._fwd, twin._bwd) == (record._fwd, record._bwd)
+        assert (twin.forward, twin.backward) == (record.forward, record.backward)
+        for name in ("source", "target"):
+            assert getattr(twin, name).elements == getattr(record, name).elements
+    else:
+        assert twin == record
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(twin, name, None)
 
 
 @pytest.mark.parametrize("cls, record, fields", records(), ids=IDS)
