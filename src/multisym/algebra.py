@@ -66,6 +66,12 @@ def _check_names(families, bases) -> None:
             raise ValueError(f"unknown basis {basis!r}")
 
 
+def _nonzero(terms) -> dict:
+    """A copy of the ``terms`` mapping or items, zero coefficients dropped."""
+    terms = dict(terms)
+    return {k: v for k, v in terms.items() if v != 0} if 0 in terms.values() else terms
+
+
 class _Combo(_Record):
     """What both combinations share: zero terms are dropped on construction,
     ``items`` lists the terms sorted, and a combination is false when empty."""
@@ -88,7 +94,7 @@ class LinearCombo(_Combo):
         _check_names((family,), (basis,))
         _set(self, "family", family)
         _set(self, "basis", basis)
-        _set(self, "terms", {k: v for k, v in terms.items() if v != 0})
+        _set(self, "terms", _nonzero(terms))
 
 
 class TensorCombo(_Combo):
@@ -103,7 +109,7 @@ class TensorCombo(_Combo):
         _set(self, "right_family", right_family)
         _set(self, "left_basis", left_basis)
         _set(self, "right_basis", right_basis)
-        _set(self, "terms", {k: v for k, v in terms.items() if v != 0})
+        _set(self, "terms", _nonzero(terms))
 
 
 def combo_to_json(c: LinearCombo) -> str:
@@ -141,8 +147,9 @@ def tensor_to_json(t: TensorCombo) -> str:
 # A tree key is checked by a walk the kernels run anyway: the last prefix key
 # of its word equals the key exactly when the key is canonical.
 # The two kernels are pure functions of their string arguments, memoised on
-# them as a tuple of (key, coefficient) items with interned keys; each public
-# map checks its arguments first and builds a fresh combination on every call.
+# them as a tuple of (key, coefficient) items, packed by ``zip`` with every
+# key string interned; each public map checks its arguments first and builds
+# a fresh combination on every call.
 
 _PROJECT = {"S": lambda w: render_perm(_standardize(w)), "Y": _tau_key, "M": _beta_key}
 
@@ -189,15 +196,9 @@ def _linear(terms, image) -> dict:
     return out
 
 
-def _tensor(left, right) -> list:
-    """The (key, coefficient) items of the tensor product of two item lists."""
-    return [((l, r), c * d) for l, c in left for r, d in right]
-
-
-def _frozen(terms: dict) -> tuple:
-    """The items of ``terms`` with every key string interned."""
-    return tuple((sys.intern(k) if isinstance(k, str) else tuple(map(sys.intern, k)), v)
-                 for k, v in terms.items())
+def _frozen(terms: Counter) -> tuple:
+    """The items of ``terms`` with every key interned."""
+    return tuple(zip(map(sys.intern, terms), terms.values()))
 
 
 def _grafts(segments: list[list[str]], base: str, cut_lists):
@@ -268,26 +269,29 @@ def _deconcatenate(left: str, right: str, x: str) -> tuple:
     w = _read(left, x)
     if left == "S":
         project = _PROJECT["S"]
-        cuts = ((project(w[:k]), project(w[k:])) for k in range(len(w) + 1))
+        prefixes = [project(w[:k]) for k in range(len(w) + 1)]
+        suffixes = [project(w[k:]) for k in range(len(w) + 1)]
     else:
         prefixes = _prefix_keys(w, _PLAIN if left == "Y" else w[0])
         _check(left, x, prefixes[-1])
-        cuts = zip(prefixes, _suffix_keys(w))
+        suffixes = _suffix_keys(w)
     # the cuts are distinct, their left pieces being of distinct sizes
-    return _frozen(dict.fromkeys(itertools.islice(cuts, 0 if left == right else 1, None), 1))
+    start = 0 if left == right else 1
+    return tuple(zip(zip(map(sys.intern, prefixes[start:]), map(sys.intern, suffixes[start:])),
+                     itertools.repeat(1)))
 
 
 def product_fund(family: str, x: str, y: str) -> LinearCombo:
     """Product of two fundamental basis elements of the word or tree family."""
     _require(family in ("S", "Y"),
              "the circled family multiplies through product_msym")
-    return LinearCombo(family, "F", dict(_shuffle(family, x, family, y)))
+    return LinearCombo(family, "F", _shuffle(family, x, family, y))
 
 
 def coproduct_fund(family: str, x: str) -> TensorCombo:
     """Coproduct of a fundamental basis element: the sum over single cuts."""
     _require(family in ("S", "Y"), "only the word and tree families have coproducts")
-    return TensorCombo(family, family, "F", "F", dict(_deconcatenate(family, family, x)))
+    return TensorCombo(family, family, "F", "F", _deconcatenate(family, family, x))
 
 
 def product_msym(x: str, y: str) -> LinearCombo:
@@ -300,7 +304,7 @@ def product_msym(x: str, y: str) -> LinearCombo:
         other = y if x == unit else x
         key_degree("M", other)  # refuses any other text than a circled key
         return LinearCombo("M", "F", {other: 1})
-    return LinearCombo("M", "F", dict(_shuffle("M", x, "M", y)))
+    return LinearCombo("M", "F", _shuffle("M", x, "M", y))
 
 
 def action_ssym(w: str, s: str) -> LinearCombo:
@@ -315,13 +319,13 @@ def action_ysym(b: str, s: str) -> LinearCombo:
     """Right action of a tree on a circled key: the shuffles of the key's
     section word with the tree's minimal word raised above it that keep the
     section word's first letter first, each projected to its circled key."""
-    return LinearCombo("M", "F", dict(_shuffle("M", b, "Y", s)))
+    return LinearCombo("M", "F", _shuffle("M", b, "Y", s))
 
 
 def coaction(b: str) -> TensorCombo:
     """Coaction of the tree family on a circled key: restricted single cuts,
     circles dropped on the right factor."""
-    return TensorCombo("M", "Y", "F", "F", dict(_deconcatenate("M", "Y", b)))
+    return TensorCombo("M", "Y", "F", "F", _deconcatenate("M", "Y", b))
 
 
 # ---------------------------------------------------------------------------
@@ -438,21 +442,21 @@ class ComparisonReport(_Record, namedtuple("ComparisonReport", "left right")):
         return self.left.terms == self.right.terms
 
 
-def _act_componentwise(cuts) -> list:
-    """The items of ``m.y1 (x) y.y2`` for a coaction term ``(m, y)`` and a
-    cut ``(y1, y2)``, read off the two shuffle kernels."""
-    (m, y), (y1, y2) = cuts
-    return _tensor(_shuffle("M", m, "Y", y1), _shuffle("Y", y, "Y", y2))
-
-
 def check_hopf_module(b: str, s: str) -> ComparisonReport:
     """Coaction of an action versus the componentwise action of a coproduct,
     the latter summed straight from the kernels' items; the kernels check
     ``s``, then ``b``, and raise ``parse_key``'s error for either."""
     cut_s = _deconcatenate("Y", "Y", s)
-    cuts = _tensor(_deconcatenate("M", "Y", b), cut_s)
-    return ComparisonReport(_coaction_of(action_ysym(b, s)), TensorCombo(
-        "M", "Y", "F", "F", _linear(cuts, _act_componentwise)))
+    cut_b = _deconcatenate("M", "Y", b)
+    left = _coaction_of(action_ysym(b, s))
+    right: dict = {}  # m.y1 (x) y.y2 over the cuts (m, y) of b and (y1, y2) of s
+    for (m, y), _ in cut_b:
+        for (y1, y2), _ in cut_s:
+            acted, multiplied = _shuffle("M", m, "Y", y1), _shuffle("Y", y, "Y", y2)
+            for l, c in acted:
+                for r, d in multiplied:
+                    right[l, r] = right.get((l, r), 0) + c * d
+    return ComparisonReport(left, TensorCombo("M", "Y", "F", "F", right))
 
 
 def check_fiber_monomial_sum(b: str) -> ComparisonReport:

@@ -145,6 +145,14 @@ class FinitePoset:
             for i, js in enumerate(above)]
         self._mobius = {}
 
+    def __eq__(self, other):  # by name, and the lazily filled Möbius rows take no part
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.elements == other.elements and self.covers == other.covers)
+
+    def __hash__(self):
+        return hash(tuple(self.elements))
+
     def __len__(self):
         return len(self.elements)
 

@@ -872,13 +872,15 @@ def _right_cuts(word: tuple[int, ...], prefixes: list[str]) -> list[tuple[str, s
     """(left key, right key) per right cut of the circled key of the section
     word ``word``, smallest first, from its prefix keys circled from ``word[0]``:
     a cut takes off a suffix ``word[k:]`` below ``word[k - 1]`` (a right-spine
-    node's right subtree) while it has no circled letter, the empty one included."""
-    suffixes, cuts, top = _suffix_keys(word), [], 0  # top: the largest letter of word[k:]
-    for k in range(len(word), 0, -1):
-        if top >= word[0]:
-            break
+    node's right subtree) while it has no circled letter, the empty one included.
+    So only the plain tail after the last circled letter, ``word[m:]``, is walked."""
+    m = len(word)
+    while word[m - 1] < word[0]:
+        m -= 1
+    suffixes, cuts, top = _suffix_keys(word[m:]), [], 0  # top: the largest letter of word[k:]
+    for k in range(len(word), m - 1, -1):
         if word[k - 1] > top:
-            cuts.append((prefixes[k], suffixes[k]))
+            cuts.append((prefixes[k], suffixes[k - m]))
             top = word[k - 1]
     return cuts
 

@@ -367,6 +367,20 @@ def test_hopf_module_with_unit_action():
     assert report.left.terms == coaction("{{..}.}").terms
 
 
+def test_hopf_module_right_side_is_the_componentwise_action_of_the_coproduct():
+    # summed from the public maps: m.y1 (x) y*y2 over the terms m (x) y of the
+    # coaction of b and y1 (x) y2 of the coproduct of s
+    for b in (key for n in range(1, 4) for key in enumerate_family("M", n)):
+        for s in (key for n in range(3) for key in enumerate_family("Y", n)):
+            expected = {}
+            for (m, y), c in coaction(b).terms.items():
+                for (y1, y2), d in coproduct_fund("Y", s).terms.items():
+                    for l, e in action_ysym(m, y1).terms.items():
+                        for r, f in product_fund("Y", y, y2).terms.items():
+                            expected[l, r] = expected.get((l, r), 0) + c * d * e * f
+            assert expected and check_hopf_module(b, s).right.terms == expected, (b, s)
+
+
 @pytest.mark.parametrize("b, s, family, bad", [
     ("(..)", "(..)", "M", "(..)"),        # a plain tree as b
     ("{{..}", "(..)", "M", "{{..}"),      # malformed text as b

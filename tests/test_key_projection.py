@@ -360,6 +360,21 @@ def test_kernels_walk_each_factor_once_not_each_term(walks):
     assert len(walks) <= 2
 
 
+def test_monomial_coaction_walks_only_the_plain_tail(walks):
+    # a circled key on 200 nodes whose section word has its last circled
+    # letter 191st: a right cut takes off only a suffix of the nine plain
+    # letters after it, so only they are walked from the right
+    rng = random.Random(1621)
+    plain = list(range(1, 190))
+    rng.shuffle(plain)
+    key = oracle_key([190, *plain[:180], *range(191, 201), *plain[180:]], 190)
+    word = trees.section_word(parse_key("M", key))
+    assert len(word) == 200 and max(i for i, a in enumerate(word, 1) if a >= word[0]) == 191
+    walks.clear()
+    assert algebra.coaction_monomial(key).terms == reference_coaction_monomial(key)
+    assert Counter(args[0] for args in walks) == Counter([word, word[191:]])
+
+
 def spine_cuts(b):
     """``right_cuts`` on tree objects: each uncircled right-spine node's
     subtree, from the deepest up, split off along the leaf after its parent."""

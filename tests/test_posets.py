@@ -1,5 +1,7 @@
+import copy
 import functools
 import itertools
+import pickle
 import random
 
 import pytest
@@ -354,6 +356,22 @@ def test_covers_are_the_reduction_of_a_transitive_relation():
     assert P.cover_pairs() == [("a", "b"), ("b", "c")]
     assert P.leq("a", "c")
     assert '"a" -> "c"' not in P.to_dot()
+
+
+def test_posets_compare_by_elements_and_covers():
+    P = weak_order(3)
+    for twin in (copy.deepcopy(P), pickle.loads(pickle.dumps(P))):
+        assert twin is not P and twin == P and hash(twin) == hash(P)
+    # Möbius rows filled on one side only take no part
+    twin = copy.deepcopy(P)
+    assert twin.mobius("123", "321") == 1 and twin == P
+    # any relation generating the order, listed in any order, gives an equal poset
+    chain = FinitePoset("abc", [("b", "c"), ("a", "b")])
+    assert chain == FinitePoset("cba", {("a", "b"), ("b", "c"), ("a", "c")})
+    assert hash(chain) == hash(FinitePoset("abc", [("a", "b"), ("b", "c")]))
+    assert chain != FinitePoset("abc", [("a", "b"), ("a", "c")])
+    assert chain != FinitePoset("abd", [("a", "b"), ("b", "d")])
+    assert chain != "abc" and chain != tamari(3)
 
 
 # --- weak order -------------------------------------------------------------
