@@ -2,9 +2,9 @@
 read off their keys, and the Galois-connection / interval-retract certifiers.
 
 Posets are frozen after construction.  Elements are indexed once, along a
-linear extension read from the top down, and comparability is kept as
-per-element down-set and up-set bitmasks over those indices, so the least
-element of a set, if it has one, is its highest bit.  The certificates are
+linear extension read from the top down, and comparability is kept once, as
+one up-set bitmask per element over those indices, so the least element of
+a set, if it has one, is its highest bit.  The certificates are
 local: Möbius rows come from joins of upper covers (Rota's crosscut
 theorem), filled one row mu(x, -) at a time on first use; the lattice test
 joins the upper covers of each element only; and an adjunction is
@@ -69,25 +69,26 @@ def _linear_extension(above: list[list[int]]) -> list[int]:
     return order
 
 
-def _close(above: list[list[int]]) -> tuple[list[int], list[int]]:
-    """Down-set and up-set masks of every index, for a relation in which
-    each j in ``above[i]`` lies above i and has a lower index."""
-    n = len(above)
-    up = [0] * n
-    below = [[] for _ in range(n)]
+def _close(above: list[list[int]]) -> list[int]:
+    """Up-set masks of every index, for a relation in which each j in
+    ``above[i]`` lies above i and has a lower index."""
+    up = []
     for i, js in enumerate(above):
         mask = 1 << i
         for j in js:
             mask |= up[j]
-            below[j].append(i)
-        up[i] = mask
-    down = [0] * n
-    for j in reversed(range(n)):
-        mask = 1 << j
-        for i in below[j]:
-            mask |= down[i]
-        down[j] = mask
-    return down, up
+        up.append(mask)
+    return up
+
+
+def _reduced(js: list[int], up: list[int]) -> tuple[int, ...]:
+    """The upper covers among the generators ``js`` of one element: those in
+    no other generator's strict up-set, since anything strictly between the
+    element and j lies above one of its generators."""
+    strict = 0
+    for j in js:
+        strict |= up[j] ^ 1 << j
+    return tuple(sorted({j for j in js if not strict >> j & 1}))
 
 
 class IncomparableError(ValueError):
@@ -108,15 +109,15 @@ class FinitePoset:
 
     Internally the elements are indexed along a linear extension read from
     the top down (``_names`` lists them in that order, ``index`` inverts
-    it): an up-set mask only reaches lower indices and a down-set mask only
-    higher ones.  So the least element of a set that has one is its highest
-    index, which ``int.bit_length`` reads in constant time, and up-set masks
-    of high elements are short.  ``_upper_covers`` lists each element's
-    upper covers by index; ``covers`` and ``cover_pairs`` are read off it.
+    it), and the order is kept once: bit j of ``_up[i]`` is set when i <= j.
+    An up-set mask only reaches lower indices, so the least element of a
+    set that has one is its highest index, which ``int.bit_length`` reads in
+    constant time, and up-set masks of high elements are short.
+    ``_upper_covers`` lists each element's upper covers by index; ``covers``
+    and ``cover_pairs`` are read off it.
     """
 
-    __slots__ = ("elements", "index", "_names", "_down", "_up",
-                 "_upper_covers", "_mobius")
+    __slots__ = ("elements", "index", "_names", "_up", "_upper_covers", "_mobius")
 
     def __init__(self, elements, relation):
         self.elements = sorted(elements)
@@ -139,10 +140,8 @@ class FinitePoset:
         self._names = [self.elements[old] for old in order]
         self.index = {x: i for i, x in enumerate(self._names)}
         above = [[place[j] for j in above[old]] for old in order]
-        self._down, self._up = down, up = _close(above)
-        self._upper_covers = [
-            tuple(sorted({j for j in js if (up[i] & down[j]).bit_count() == 2}))
-            for i, js in enumerate(above)]
+        self._up = up = _close(above)
+        self._upper_covers = [_reduced(js, up) for js in above]
         self._mobius = {}
 
     def __eq__(self, other):  # by name, and the lazily filled Möbius rows take no part
@@ -160,7 +159,7 @@ class FinitePoset:
         return x in self.index
 
     def leq(self, x: str, y: str) -> bool:
-        return bool(self._down[self.index[y]] >> self.index[x] & 1)
+        return bool(self._up[self.index[x]] >> self.index[y] & 1)
 
     def _members(self, mask: int) -> list[str]:
         return sorted(self._names[i] for i in _bits(mask))
@@ -192,7 +191,8 @@ class FinitePoset:
     def interval(self, x: str, y: str) -> list[str]:
         if not self.leq(x, y):
             raise IncomparableError(f"{x!r} is not below {y!r}")
-        return self._members(self._up[self.index[x]] & self._down[self.index[y]])
+        up, j = self._up, self.index[y]
+        return self._members(sum(1 << k for k in _bits(up[self.index[x]]) if up[k] >> j & 1))
 
     def interval_ends(self, members) -> tuple[str, str] | None:
         """``(least, greatest)`` if ``members`` is exactly the interval between
@@ -205,15 +205,25 @@ class FinitePoset:
         the interval between them, else None (also when ``mask`` is 0)."""
         if not mask:
             return None
-        # an interval starts at its highest index and ends at its lowest
+        # an interval starts at its highest index and ends at its lowest; the
+        # upper covers walked from lo while they stay below hi reach exactly
+        # the interval (only lo itself when lo !<= hi), so mask is the
+        # interval when the walk stays inside mask and fills it
         lo, hi = mask.bit_length() - 1, (mask & -mask).bit_length() - 1
-        if self._up[lo] & self._down[hi] != mask:
-            return None
-        return lo, hi
+        up, covers = self._up, self._upper_covers
+        reached, todo = 1 << lo, [lo]
+        while todo:
+            for c in covers[todo.pop()]:
+                if not reached >> c & 1 and up[c] >> hi & 1:
+                    if not mask >> c & 1:
+                        return None
+                    reached |= 1 << c
+                    todo.append(c)
+        return (lo, hi) if reached == mask else None
 
     def mobius(self, x: str, y: str) -> int:
         i, j = self.index[x], self.index[y]
-        if not self._down[j] >> i & 1:
+        if not self._up[i] >> j & 1:
             raise IncomparableError(f"{x!r} is not below {y!r}")
         return self._mobius_row(i).get(j, 0)
 
@@ -224,23 +234,13 @@ class FinitePoset:
 
     def zeta(self, coefs: dict[str, int]) -> dict[str, int]:
         """``{y: c}`` with c the sum of ``coefs[x]`` over the x <= y, for the
-        nonzero sums: the keys of each coefficient are one mask, and each y
-        in the union of their up-sets counts its down-set's bits in each."""
-        by_value: dict[int, int] = {}
-        reach = 0
+        nonzero sums: each coefficient added over its key's up-set."""
+        acc: dict[int, int] = {}
         for x, c in coefs.items():
-            i = self.index[x]
-            by_value[c] = by_value.get(c, 0) | 1 << i
-            reach |= self._up[i]
-        down, names, out = self._down, self._names, {}
-        values = by_value.items()
-        for y in _bits(reach):
-            below, total = down[y], 0
-            for c, mask in values:
-                total += c * (below & mask).bit_count()
-            if total:
-                out[names[y]] = total
-        return out
+            for j in _bits(self._up[self.index[x]]):
+                acc[j] = acc.get(j, 0) + c
+        names = self._names
+        return {names[j]: c for j, c in acc.items() if c}
 
     def mobius_sum(self, coefs: dict[str, int]) -> dict[str, int]:
         """``{y: c}`` with c the sum of ``coefs[x] * mu(x, y)`` over the x <= y,
@@ -285,17 +285,13 @@ class FinitePoset:
     def _mobius_recurrence(self, i: int) -> dict[int, int]:
         """The same row by the defining recurrence: mu(i, j) = -sum of
         mu(i, k) over i <= k < j, filled along the linear extension, that is
-        from high indices to low; the k already filled are kept as one mask
-        per value."""
+        from high indices to low, so every such k is already filled."""
+        up = self._up
         row = {i: 1}
-        by_value = {1: 1 << i}
-        for j in sorted(_bits(self._up[i] & ~(1 << i)), reverse=True):
-            below = self._down[j]
-            mu = -sum(value * (mask & below).bit_count()
-                      for value, mask in by_value.items())
+        for j in sorted(_bits(up[i] & ~(1 << i)), reverse=True):
+            mu = -sum(value for k, value in row.items() if up[k] >> j & 1)
             if mu:
                 row[j] = mu
-                by_value[mu] = by_value.get(mu, 0) | 1 << j
         return row
 
     def minimum(self) -> str | None:
@@ -304,8 +300,8 @@ class FinitePoset:
         return self._names[-1] if self.elements and self._up[-1] == full else None
 
     def maximum(self) -> str | None:
-        full = (1 << len(self.elements)) - 1
-        return self._names[0] if self.elements and self._down[0] == full else None
+        # a greatest element comes last in every linear extension, so first here
+        return self._names[0] if self.elements and all(u & 1 for u in self._up) else None
 
     def is_lattice(self) -> bool:
         """A finite poset with a bottom and a top is a lattice when every two
@@ -348,10 +344,10 @@ class FinitePoset:
 # the three concrete orders, one poset per size
 
 
-# The largest order of each family: its poset keeps two tables of N masks of
-# N bits for N keys, about 400 MB for S_8 and 33 GB for S_9, 70 MB for Y_10
-# (16,796 keys) and 0.86 GB for Y_11 (58,786), and 165 MB for M_9 (25,674
-# keys) and 3.3 GB for M_10 (115,566)
+# The largest order of each family: its poset keeps one table of N up-set
+# masks for N keys, mask i reaching i + 1 bits, about N^2 / 15 bytes: 110 MB
+# for S_8 and 8.9 GB for S_9, 19 MB for Y_10 (16,796 keys) and 0.24 GB for
+# Y_11 (58,786), and 45 MB for M_9 (25,674 keys) and 0.91 GB for M_10 (115,566)
 MAX_ORDER_N = {"S": 8, "Y": 10, "M": 9}
 _ORDER_NAMES = {"S": "weak order", "Y": "rotation order", "M": "bi-leveled order"}
 
@@ -577,9 +573,9 @@ def _order_preserving(P, Q, image) -> str | None:
     # <= is the reflexive-transitive closure of the covers, so a map that
     # preserves every cover preserves <=; the report names the first failing
     # cover in key order
-    down = Q._down
+    up = Q._up
     bad = [(i, j) for i, js in enumerate(P._upper_covers) for j in js
-           if not down[image[j]] >> image[i] & 1]
+           if not up[image[i]] >> image[j] & 1]
     if not bad:
         return None
     names = P._names
@@ -645,7 +641,7 @@ def check_galois(pair: PosetMapPair) -> GaloisReport:
     adjunction = None
     if (fwd_bad is not None or bwd_bad is not None
             or not all(P._up[v] >> bwd[t] & 1 for v, t in enumerate(fwd))
-            or not all(Q._down[t] >> fwd[v] & 1 for t, v in enumerate(bwd))):
+            or not all(Q._up[fwd[v]] >> t & 1 for t, v in enumerate(bwd))):
         adjunction = _adjunction_failure(P, Q, fwd, bwd_fibers)
     mobius_bad = None
     checked = adjunction is None and fwd_bad is None and bwd_bad is None

@@ -181,12 +181,40 @@ def assert_matches_oracles(P, relation):
     inverse = zeta_inverse(P.elements, leq)
     for x in P.elements:
         for y in P.elements:
+            assert P.leq(x, y) == ((x, y) in leq)
             if (x, y) in leq:
                 assert P.mobius(x, y) == inverse[x, y]
             else:
                 assert inverse[x, y] == 0
                 with pytest.raises(IncomparableError):
                     P.mobius(x, y)
+                with pytest.raises(IncomparableError):
+                    P.interval(x, y)
+    ups = {x: {y for y in P.elements if (x, y) in leq} for x in P.elements}
+    downs = {y: {x for x in P.elements if (x, y) in leq} for y in P.elements}
+    everything = set(P.elements)
+    assert P.minimum() == next((x for x in P.elements if ups[x] == everything), None)
+    assert P.maximum() == next((y for y in P.elements if downs[y] == everything), None)
+    coefs = {x: (-1) ** i * (i % 3 + 1) for i, x in enumerate(P.elements)}
+    sums = {y: sum(c for x, c in coefs.items() if (x, y) in leq) for y in P.elements}
+    assert P.zeta(coefs) == {y: c for y, c in sums.items() if c}
+    for x in P.elements:
+        assert P.zeta({x: 1}) == dict.fromkeys(ups[x], 1)
+
+    def ends(members):
+        least = [x for x in members if members <= ups[x]]
+        greatest = [y for y in members if members <= downs[y]]
+        if len(least) == len(greatest) == 1 and ups[least[0]] & downs[greatest[0]] == members:
+            return least[0], greatest[0]
+        return None
+    # every interval, and every interval with one element of P toggled
+    for x in P.elements:
+        for y in ups[x]:
+            members = ups[x] & downs[y]
+            assert P.interval(x, y) == sorted(members)
+            assert P.interval_ends(members) == (x, y)
+            for z in P.elements:
+                assert P.interval_ends(members ^ {z}) == ends(members ^ {z})
 
 
 @st.composite
@@ -235,7 +263,12 @@ def test_lattice_and_mobius_match_oracles_on_examples():
         assert P.is_lattice() == lattice
         assert_matches_oracles(P, relation)
     assert FinitePoset(*DIAMOND).mobius("0", "z") == 2
-    for P in (weak_order(4), tamari(5), bileveled_order(4)):
+
+
+@pytest.mark.parametrize("family", ["S", "Y", "M"])
+def test_lattice_and_mobius_match_oracles_on_the_orders(family):
+    for n in range(1, 6):
+        P = poset_for(family, n)
         assert P.is_lattice()
         assert_matches_oracles(P, P.cover_pairs())
 
@@ -255,9 +288,11 @@ def test_crosscut_rows_match_the_recurrence():
 def meets_reference(P):
     # a finite poset with a top in which every pair has a meet is a lattice;
     # a meet exists exactly when the common down-set is some element's own
-    downs = set(P._down)
+    n = len(P)
+    down = [sum(1 << i for i in range(n) if P._up[i] >> j & 1) for j in range(n)]
+    downs = set(down)
     return (P.maximum() is not None
-            and all(a & b in downs for a in P._down for b in P._down))
+            and all(a & b in downs for a in down for b in down))
 
 
 def test_join_irreducible_lattice_test_matches_meets():

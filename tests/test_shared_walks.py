@@ -458,3 +458,12 @@ def test_thm3_runs_no_zeta_transform(monkeypatch):
         raise AssertionError("FinitePoset.zeta called by verify thm3")
     monkeypatch.setattr(posets.FinitePoset, "zeta", fail)
     assert verify.suite_thm3(6).passed
+
+
+def test_eq8_runs_no_zeta_transform(monkeypatch):
+    # the projected fiber sum and the key's monomial element are compared in
+    # the fundamental basis: both are expanded by Möbius sums
+    def fail(self, coefs):
+        raise AssertionError("FinitePoset.zeta called by verify eq8")
+    monkeypatch.setattr(posets.FinitePoset, "zeta", fail)
+    assert verify.suite_eq8(5).passed
